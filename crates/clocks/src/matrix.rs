@@ -6,13 +6,20 @@ use std::fmt;
 /// An `n × n` matrix clock: row `i` is the latest vector clock known to
 /// have been *reported by* process `p_i`.
 ///
-/// The owner of the matrix updates its own row as it delivers messages and
-/// replaces other rows when it learns a fresher clock from those processes
-/// (e.g. piggybacked on their broadcasts). The column minimum
+/// The owner of the matrix raises its own row as it delivers messages and
+/// merges fresher clocks into other rows when it learns them from those
+/// processes (e.g. gossiped stability reports). The column minimum
 /// [`stable_prefix`](MatrixClock::stable_prefix) then gives, for each
 /// sender, the longest prefix of its messages known to be delivered
 /// *everywhere* — such messages are **stable** and their delivery-buffer
 /// entries can be garbage collected.
+///
+/// The column minimum is cached and kept up to date in place, together
+/// with the number of rows holding it: raising a cell costs O(1), and a
+/// column is rescanned (O(n)) only when its last minimum cell rises — that
+/// is, only when the stable prefix itself advances. Every raising method
+/// reports whether it advanced the stable prefix, so callers can skip
+/// work (compaction) that depends on nothing else.
 ///
 /// # Examples
 ///
@@ -21,13 +28,20 @@ use std::fmt;
 ///
 /// let mut m = MatrixClock::new(2);
 /// m.update_row(ProcessId::new(0), &VectorClock::from_entries([3, 1]));
-/// m.update_row(ProcessId::new(1), &VectorClock::from_entries([2, 4]));
+/// // p1 has reported nothing yet: nothing is stable.
+/// assert_eq!(m.stable_prefix().as_ref(), &[0, 0]);
+/// let advanced = m.update_row(ProcessId::new(1), &VectorClock::from_entries([2, 4]));
 /// // Everyone has delivered at least 2 messages from p0 and 1 from p1.
+/// assert!(advanced);
 /// assert_eq!(m.stable_prefix().as_ref(), &[2, 1]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MatrixClock {
     rows: Vec<VectorClock>,
+    /// Cached column minimum over `rows`.
+    stable: VectorClock,
+    /// Per column, how many rows hold the minimum (at least 1).
+    at_min: Vec<usize>,
 }
 
 impl MatrixClock {
@@ -35,6 +49,8 @@ impl MatrixClock {
     pub fn new(n: usize) -> Self {
         MatrixClock {
             rows: (0..n).map(|_| VectorClock::new(n)).collect(),
+            stable: VectorClock::new(n),
+            at_min: vec![n; n],
         }
     }
 
@@ -53,43 +69,91 @@ impl MatrixClock {
         &self.rows[p.as_usize()]
     }
 
-    /// Merges a fresher clock reported by `p` into `p`'s row.
+    /// Raises cell `(p, of)` — what `p` is known to have delivered from
+    /// `of` — to `value`; a lower or equal value is ignored. Returns `true`
+    /// if the stable prefix advanced.
+    ///
+    /// O(1), plus an O(n) rescan of column `of` when the raised cell was
+    /// the column's last minimum.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` or `of` is outside the group.
+    pub fn raise(&mut self, p: ProcessId, of: ProcessId, value: u64) -> bool {
+        let row = &mut self.rows[p.as_usize()];
+        let old = row.get(of);
+        if value <= old {
+            return false;
+        }
+        row.set(of, value);
+        let j = of.as_usize();
+        if old != self.stable.get(of) {
+            return false;
+        }
+        self.at_min[j] -= 1;
+        if self.at_min[j] > 0 {
+            return false;
+        }
+        // The last minimum cell rose: the column minimum advances.
+        let mut min = u64::MAX;
+        let mut count = 0;
+        for row in &self.rows {
+            let v = row.get(of);
+            if v < min {
+                min = v;
+                count = 1;
+            } else if v == min {
+                count += 1;
+            }
+        }
+        self.stable.set(of, min);
+        self.at_min[j] = count;
+        true
+    }
+
+    /// Merges a fresher clock reported by `p` into `p`'s row. Returns
+    /// `true` if the stable prefix advanced.
     ///
     /// # Panics
     ///
     /// Panics if `p` is outside the group or the widths differ.
-    pub fn update_row(&mut self, p: ProcessId, reported: &VectorClock) {
-        self.rows[p.as_usize()].merge(reported);
+    pub fn update_row(&mut self, p: ProcessId, reported: &VectorClock) -> bool {
+        assert_eq!(
+            self.width(),
+            reported.width(),
+            "matrix clock width mismatch"
+        );
+        let mut advanced = false;
+        for (of, value) in reported.iter() {
+            advanced |= self.raise(p, of, value);
+        }
+        advanced
     }
 
     /// Merges another matrix clock (e.g. piggybacked whole) row by row.
+    /// Returns `true` if the stable prefix advanced.
     ///
     /// # Panics
     ///
     /// Panics if the dimensions differ.
-    pub fn merge(&mut self, other: &MatrixClock) {
+    pub fn merge(&mut self, other: &MatrixClock) -> bool {
         assert_eq!(self.width(), other.width(), "matrix clock width mismatch");
-        for (mine, theirs) in self.rows.iter_mut().zip(&other.rows) {
-            mine.merge(theirs);
+        let mut advanced = false;
+        for (i, theirs) in other.rows.iter().enumerate() {
+            advanced |= self.update_row(ProcessId::new(i as u32), theirs);
         }
+        advanced
     }
 
     /// For each sender `j`, the column minimum `min_i rows[i][j]`: the
     /// number of `j`'s messages known to be delivered at *every* process.
+    /// Cached, so reading it is free.
     ///
     /// Messages of `j` with sequence number `<= stable_prefix()[j]` are
     /// stable and may be garbage collected from retransmission and delivery
     /// buffers.
-    pub fn stable_prefix(&self) -> VectorClock {
-        let n = self.width();
-        let entries = (0..n).map(|j| {
-            self.rows
-                .iter()
-                .map(|row| row.get(ProcessId::new(j as u32)))
-                .min()
-                .unwrap_or(0)
-        });
-        VectorClock::from_entries(entries)
+    pub fn stable_prefix(&self) -> &VectorClock {
+        &self.stable
     }
 
     /// Returns `true` if message `seq` from `sender` is known to be
@@ -99,7 +163,7 @@ impl MatrixClock {
     ///
     /// Panics if `sender` is outside the group.
     pub fn is_stable(&self, sender: ProcessId, seq: u64) -> bool {
-        self.rows.iter().all(|row| row.get(sender) >= seq)
+        self.stable.get(sender) >= seq
     }
 }
 
@@ -168,6 +232,43 @@ mod tests {
         assert_eq!(a.row(p(0)).as_ref(), &[1, 0]);
         assert_eq!(a.row(p(1)).as_ref(), &[1, 1]);
         assert_eq!(a.stable_prefix().as_ref(), &[1, 0]);
+    }
+
+    #[test]
+    fn raise_advances_only_when_last_minimum_rises() {
+        let mut m = MatrixClock::new(3);
+        // Two of three rows still hold the minimum 0 in column 0.
+        assert!(!m.raise(p(0), p(0), 4));
+        assert!(!m.raise(p(1), p(0), 2));
+        assert_eq!(m.stable_prefix().as_ref(), &[0, 0, 0]);
+        // The last minimum cell rises: the column rescans to the new min.
+        assert!(m.raise(p(2), p(0), 3));
+        assert_eq!(m.stable_prefix().as_ref(), &[2, 0, 0]);
+        // Lower or equal values are ignored.
+        assert!(!m.raise(p(1), p(0), 1));
+        assert!(!m.raise(p(1), p(0), 2));
+        // Raising a non-minimum cell never advances.
+        assert!(!m.raise(p(0), p(0), 9));
+        assert!(m.raise(p(1), p(0), 5));
+        assert_eq!(m.stable_prefix().as_ref(), &[3, 0, 0]);
+    }
+
+    #[test]
+    fn update_row_reports_advance() {
+        let mut m = MatrixClock::new(2);
+        assert!(!m.update_row(p(0), &VectorClock::from_entries([1, 1])));
+        assert!(m.update_row(p(1), &VectorClock::from_entries([1, 0])));
+        assert_eq!(m.stable_prefix().as_ref(), &[1, 0]);
+        // A stale report changes nothing.
+        assert!(!m.update_row(p(1), &VectorClock::from_entries([0, 0])));
+        assert_eq!(m.stable_prefix().as_ref(), &[1, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "width mismatch")]
+    fn update_row_width_mismatch_panics() {
+        let mut m = MatrixClock::new(2);
+        m.update_row(p(0), &VectorClock::from_entries([1, 2, 3]));
     }
 
     #[test]

@@ -5,6 +5,19 @@ use proptest::prelude::*;
 
 const WIDTH: usize = 4;
 
+/// The column minimum recomputed from scratch, row by row.
+fn brute_stable_prefix(m: &MatrixClock) -> VectorClock {
+    VectorClock::from_entries((0..WIDTH).map(|j| {
+        (0..WIDTH)
+            .map(|i| {
+                m.row(ProcessId::new(i as u32))
+                    .get(ProcessId::new(j as u32))
+            })
+            .min()
+            .unwrap_or(0)
+    }))
+}
+
 fn arb_clock() -> impl Strategy<Value = VectorClock> {
     proptest::collection::vec(0u64..20, WIDTH).prop_map(VectorClock::from_entries)
 }
@@ -101,7 +114,7 @@ proptest! {
         }
         let stable = m.stable_prefix();
         for i in 0..WIDTH {
-            prop_assert!(m.row(ProcessId::new(i as u32)).dominates(&stable));
+            prop_assert!(m.row(ProcessId::new(i as u32)).dominates(stable));
         }
     }
 
@@ -119,5 +132,36 @@ proptest! {
         let sender = ProcessId::new(sender);
         let prefix = m.stable_prefix();
         prop_assert_eq!(m.is_stable(sender, seq), prefix.get(sender) >= seq);
+    }
+
+    /// The cached stable prefix equals a full column-minimum recompute
+    /// after any sequence of row updates, single-cell raises and whole-
+    /// matrix merges, and each call reports an advance exactly when the
+    /// prefix changed.
+    #[test]
+    fn matrix_cached_prefix_matches_recompute(
+        steps in proptest::collection::vec(
+            (0u8..3, 0u32..WIDTH as u32, 0u32..WIDTH as u32, arb_clock(), arb_clock()),
+            1..40,
+        )
+    ) {
+        let mut m = MatrixClock::new(WIDTH);
+        for (kind, i, j, a, b) in steps {
+            let before = m.stable_prefix().clone();
+            let advanced = match kind {
+                0 => m.update_row(ProcessId::new(i), &a),
+                1 => m.raise(ProcessId::new(i), ProcessId::new(j), a.get(ProcessId::new(j))),
+                _ => {
+                    let mut other = MatrixClock::new(WIDTH);
+                    other.update_row(ProcessId::new(i), &a);
+                    other.update_row(ProcessId::new(j), &b);
+                    m.merge(&other)
+                }
+            };
+            let recomputed = brute_stable_prefix(&m);
+            prop_assert_eq!(m.stable_prefix(), &recomputed);
+            prop_assert_eq!(advanced, recomputed != before);
+            prop_assert!(recomputed.dominates(&before));
+        }
     }
 }

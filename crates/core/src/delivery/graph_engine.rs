@@ -125,12 +125,9 @@ impl<P> GraphDelivery<P> {
         let threshold = match &mut self.compacted {
             Some(existing) => {
                 existing.merge(stable);
-                existing.clone()
+                existing
             }
-            None => {
-                self.compacted = Some(stable.clone());
-                stable.clone()
-            }
+            None => self.compacted.insert(stable.clone()),
         };
         self.delivered
             .retain(|id| id.seq() > threshold.get(id.origin()));

@@ -39,9 +39,15 @@ mod tests {
     use super::*;
     use crate::delivery::Delivered;
     use crate::osend::OccursAfter;
+    use crate::rbcast::RbMsg;
     use crate::statemachine::OpClass;
-    use causal_clocks::{MsgId, ProcessId};
-    use causal_simnet::{FaultPlan, LatencyModel, NetConfig, Simulation};
+    use crate::wire::WireEncode;
+    use causal_clocks::{MsgId, ProcessId, VectorClock};
+    use causal_simnet::{
+        Actor, Command, Context, FaultPlan, LatencyModel, NetConfig, SimTime, Simulation,
+    };
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     /// Accumulating integer counter: Add(k) sums, no reaction. Payloads
     /// `1..=9` model commutative increments; anything else is a
@@ -314,5 +320,85 @@ mod tests {
             // The vector-clock engine never closes stable points.
             assert_eq!(sim.node(p(i)).stats().stable_points, 0);
         }
+    }
+
+    /// Runs one callback of `node` at time zero and returns the messages
+    /// it sent, one `(destination, message)` per copy.
+    fn step(
+        node: &mut CausalNode<Sum>,
+        f: impl FnOnce(&mut CausalNode<Sum>, &mut Context<'_, WireMsg<Sum>>),
+    ) -> Vec<(ProcessId, WireMsg<Sum>)> {
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut ctx = Context::new(node.me(), SimTime::ZERO, 2, &mut rng);
+        f(node, &mut ctx);
+        let mut sent = Vec::new();
+        for cmd in ctx.take_commands() {
+            match cmd {
+                Command::Send { to, msg } => sent.push((to, msg)),
+                Command::Multicast { to, msg } => {
+                    sent.extend(to.into_iter().map(|to| (to, msg.clone())));
+                }
+                Command::SetTimer { .. } => {}
+            }
+        }
+        sent
+    }
+
+    #[test]
+    fn late_copy_past_stability_is_a_duplicate() {
+        // p1 receives p0's message and acks it, but the ack is lost. Both
+        // members report, so the message becomes stable and p1 compacts it
+        // away. p0's retransmission must then be absorbed as a duplicate
+        // (and acked again), not accepted and recorded a second time.
+        let mut a = CausalNode::new(p(0), 2, Sum::default()).with_gc(2, 1);
+        let mut b = CausalNode::new(p(1), 2, Sum::default()).with_gc(2, 1);
+        let from_a = step(&mut a, |n, ctx| {
+            n.osend(ctx, 1, OccursAfter::none());
+        });
+        let data = from_a
+            .iter()
+            .find(|(_, m)| matches!(m, StackWire::Rb(RbMsg::Data(_))))
+            .expect("p0 broadcasts its message")
+            .1
+            .clone();
+        let report = from_a
+            .iter()
+            .find(|(_, m)| matches!(m, StackWire::StabilityReport(_)))
+            .expect("p0 reports after its own delivery")
+            .1
+            .clone();
+        let from_b = step(&mut b, |n, ctx| n.on_message(ctx, p(0), data.clone()));
+        assert!(from_b
+            .iter()
+            .any(|(_, m)| matches!(m, StackWire::Rb(RbMsg::Ack(_)))));
+        // The ack is lost; p0's report makes the message stable at p1.
+        step(&mut b, |n, ctx| n.on_message(ctx, p(0), report));
+        assert_eq!(b.retained_state(), 0);
+        // The retransmission arrives after compaction.
+        let again = step(&mut b, |n, ctx| n.on_message(ctx, p(0), data));
+        assert_eq!(
+            again,
+            vec![(p(0), StackWire::Rb(RbMsg::Ack(MsgId::new(p(0), 1))))]
+        );
+        assert_eq!(b.retained_state(), 0, "late copy re-recorded");
+        assert_eq!(b.app().value, 1);
+        assert_eq!(b.log().len(), 1);
+    }
+
+    #[test]
+    fn malformed_stability_reports_are_counted_not_fatal() {
+        let mut node = CausalNode::new(p(0), 2, Sum::default()).with_gc(2, 1);
+        // A report of the wrong width, as decoded off the wire.
+        let bytes = WireMsg::<Sum>::StabilityReport(VectorClock::from_entries([1, 2, 3])).to_wire();
+        let wide = WireMsg::<Sum>::from_wire(&bytes).expect("well-formed frame");
+        step(&mut node, |n, ctx| n.on_message(ctx, p(1), wide));
+        // A well-sized report from a sender outside the group.
+        let stray = StackWire::StabilityReport(VectorClock::from_entries([1, 1]));
+        step(&mut node, |n, ctx| n.on_message(ctx, p(7), stray));
+        assert_eq!(node.stats().malformed_reports, 2);
+        // A valid report is still accepted.
+        let valid = StackWire::StabilityReport(VectorClock::from_entries([0, 0]));
+        step(&mut node, |n, ctx| n.on_message(ctx, p(1), valid));
+        assert_eq!(node.stats().malformed_reports, 2);
     }
 }

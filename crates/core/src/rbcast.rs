@@ -9,7 +9,7 @@
 //! acknowledged it, retransmitting on a timer; receivers acknowledge every
 //! copy and absorb duplicates.
 
-use causal_clocks::{MsgId, ProcessId};
+use causal_clocks::{MsgId, ProcessId, VectorClock};
 use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// Envelope types that carry a unique message identity (implemented by
@@ -73,6 +73,9 @@ pub struct ReliableBroadcast<E> {
     /// Order of initiation, for deterministic retransmission order.
     outgoing_order: Vec<MsgId>,
     seen: HashSet<MsgId>,
+    /// Per-origin compaction threshold: ids with `seq <= threshold` were
+    /// accepted once and pruned from `seen` (see [`compact`](Self::compact)).
+    compacted: Option<VectorClock>,
     retransmissions: u64,
     duplicates: u64,
 }
@@ -100,6 +103,7 @@ impl<E: HasMsgId + Clone> ReliableBroadcast<E> {
             outgoing: HashMap::new(),
             outgoing_order: Vec::new(),
             seen: HashSet::new(),
+            compacted: None,
             retransmissions: 0,
             duplicates: 0,
         }
@@ -134,6 +138,7 @@ impl<E: HasMsgId + Clone> ReliableBroadcast<E> {
             outgoing: HashMap::new(),
             outgoing_order: Vec::new(),
             seen: HashSet::new(),
+            compacted: None,
             retransmissions: 0,
             duplicates: 0,
         }
@@ -231,7 +236,7 @@ impl<E: HasMsgId + Clone> ReliableBroadcast<E> {
     pub fn on_data(&mut self, from: ProcessId, env: E) -> (Option<E>, Vec<(ProcessId, RbMsg<E>)>) {
         let id = env.msg_id();
         let ack = vec![(from, RbMsg::Ack(id))];
-        if self.seen.insert(id) {
+        if !self.is_compacted(id) && self.seen.insert(id) {
             (Some(env), ack)
         } else {
             self.duplicates += 1;
@@ -303,13 +308,29 @@ impl<E: HasMsgId + Clone> ReliableBroadcast<E> {
         self.seen.iter().copied()
     }
 
+    /// `true` if `id` falls inside the compacted (stable) prefix.
+    fn is_compacted(&self, id: MsgId) -> bool {
+        self.compacted
+            .as_ref()
+            .is_some_and(|c| id.seq() <= c.get(id.origin()))
+    }
+
     /// Forgets duplicate-suppression entries for the globally stable
-    /// prefix (see [`StabilityTracker`](crate::stability::StabilityTracker)):
-    /// a stable message can never be retransmitted to us again, so its
-    /// `seen` entry is dead weight. Unacknowledged outgoing copies are
-    /// never pruned — they are precisely the unstable messages.
-    pub fn compact(&mut self, stable: &causal_clocks::VectorClock) {
-        self.seen.retain(|id| id.seq() > stable.get(id.origin()));
+    /// prefix (see [`StabilityTracker`](crate::stability::StabilityTracker))
+    /// and remembers the prefix as a per-origin threshold instead: a
+    /// stable message can still be retransmitted to us when our ack to
+    /// its origin was lost, and such a late copy is then a counted,
+    /// re-acknowledged duplicate. Unacknowledged outgoing copies are never
+    /// pruned — the origin keeps them until every ack arrives.
+    pub fn compact(&mut self, stable: &VectorClock) {
+        let threshold = match &mut self.compacted {
+            Some(existing) => {
+                existing.merge(stable);
+                existing
+            }
+            None => self.compacted.insert(stable.clone()),
+        };
+        self.seen.retain(|id| id.seq() > threshold.get(id.origin()));
     }
 
     /// Retained duplicate-suppression entries (what [`compact`](Self::compact)
@@ -463,6 +484,30 @@ mod tests {
         let mut rb = ReliableBroadcast::new(p(0), 1);
         assert!(rb.broadcast(env(&mut tx, 1)).is_empty());
         assert!(!rb.has_pending());
+    }
+
+    #[test]
+    fn late_copy_of_compacted_message_is_a_duplicate() {
+        // p1 accepts p0's message and acks it, but the ack is lost. The
+        // message becomes stable and p1 compacts it away; p0's
+        // retransmission must not be accepted a second time.
+        let mut tx = OSender::new(p(0));
+        let e = env(&mut tx, 7);
+        let mut rb = ReliableBroadcast::new(p(1), 2);
+        let (fresh, _lost_ack) = rb.on_data(p(0), e.clone());
+        assert!(fresh.is_some());
+        rb.compact(&VectorClock::from_entries([1, 0]));
+        assert_eq!(rb.retained_len(), 0);
+        let (fresh, acks) = rb.on_data(p(0), e.clone());
+        assert_eq!(fresh, None);
+        assert_eq!(acks, vec![(p(0), RbMsg::Ack(e.id))]); // still re-acked
+        assert_eq!(rb.duplicate_count(), 1);
+        assert_eq!(rb.retained_len(), 0, "late copy re-recorded");
+        // Thresholds only rise: older stability information is a no-op.
+        rb.compact(&VectorClock::from_entries([0, 0]));
+        assert_eq!(rb.on_data(p(0), e).0, None);
+        let next = env(&mut tx, 8);
+        assert_eq!(rb.on_data(p(0), next.clone()).0, Some(next));
     }
 
     #[test]

@@ -206,6 +206,9 @@ pub struct NodeStats {
     pub delivery_latency: Histogram,
     /// Delivery instants per message, for offline analysis.
     pub delivery_times: Vec<(MsgId, SimTime)>,
+    /// Stability reports ignored because they could not come from this
+    /// group (sender outside it, or a clock of the wrong width).
+    pub malformed_reports: u64,
 }
 
 /// Default retransmission period for the reliability layer.
@@ -380,7 +383,9 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
     /// Enables stability-based garbage collection: every `report_every`
     /// deliveries this member gossips its delivered-prefix clock, and
     /// prunes per-message state (delivery engine, reliability layer, send
-    /// times) once the prefix is known delivered everywhere.
+    /// times) once the prefix is known delivered everywhere. Tracking is
+    /// incremental (see [`StabilityTracker`]), and pruning runs only when
+    /// the stable prefix has advanced.
     ///
     /// GC mode is for long-running deployments: it also disables the
     /// unbounded analysis records (the engine's dependency graph where it
@@ -717,16 +722,19 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
         self.compact_now();
     }
 
+    /// Compacts against the stable prefix if it advanced since the last
+    /// compaction; compacting against an unchanged prefix would forget
+    /// nothing new.
     fn compact_now(&mut self) {
-        let Some(stability) = &self.stability else {
+        let Some(stable) = self
+            .stability
+            .as_mut()
+            .and_then(StabilityTracker::take_advance)
+        else {
             return;
         };
-        let stable = stability.stable();
-        if stable.total_events() == 0 {
-            return;
-        }
-        self.engine.compact(&stable);
-        self.rb.compact(&stable);
+        self.engine.compact(stable);
+        self.rb.compact(stable);
         self.sent_times
             .retain(|id, _| id.seq() > stable.get(id.origin()));
     }
@@ -1006,8 +1014,11 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> Actor for ProtocolStack<D, A> {
             StackWire::Rb(RbMsg::Ack(id)) => self.rb.on_ack(from, id),
             StackWire::StabilityReport(report) => {
                 if let Some(stability) = &mut self.stability {
-                    stability.on_report(from, &report);
-                    self.compact_now();
+                    if stability.on_report(from, &report) {
+                        self.compact_now();
+                    } else {
+                        self.stats.malformed_reports += 1;
+                    }
                 }
             }
             StackWire::Heartbeat => {}

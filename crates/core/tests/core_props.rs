@@ -10,6 +10,7 @@ use causal_core::delivery::{
 };
 use causal_core::graph::MsgGraph;
 use causal_core::osend::{GraphEnvelope, OccursAfter};
+use causal_core::stability::StabilityTracker;
 use causal_core::stable::{LogEntry, StablePointDetector};
 use causal_core::stack::{StackWire, Timed};
 use causal_core::statemachine::{is_transition_preserving, Operation};
@@ -17,7 +18,7 @@ use causal_core::total::{DeterministicMerge, RoundMsg};
 use causal_core::wire::{self, WireEncode};
 use causal_simnet::SimTime;
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A randomly generated message universe: message `i` (0-based) originates
 /// at process `i % n_procs` and depends on a random subset of messages
@@ -734,5 +735,88 @@ proptest! {
         let buf = msg.to_wire();
         let decoded = <StackWire<PcEnvelope<u64>>>::from_wire(&buf).expect("round-trip");
         prop_assert_eq!(decoded, msg);
+    }
+}
+
+/// The stable prefix recomputed from scratch: the own row is the longest
+/// contiguous prefix of `delivered` merged with any reports claiming to
+/// be from `me`; the stable prefix is the column minimum.
+fn brute_stable(me: usize, delivered: &[BTreeSet<u64>], rows: &[Vec<u64>]) -> Vec<u64> {
+    let n = rows.len();
+    (0..n)
+        .map(|j| {
+            (0..n)
+                .map(|i| {
+                    if i == me {
+                        let mut top = 0;
+                        while delivered[j].contains(&(top + 1)) {
+                            top += 1;
+                        }
+                        rows[i][j].max(top)
+                    } else {
+                        rows[i][j]
+                    }
+                })
+                .min()
+                .unwrap_or(0)
+        })
+        .collect()
+}
+
+proptest! {
+    /// The incremental `StabilityTracker` against a brute-force column
+    /// minimum: random deliveries (out of order, duplicated) and random
+    /// reports (stale, regressing, malformed). After every step the stable
+    /// prefix must agree, and `take_advance` must fire exactly when it
+    /// changed.
+    #[test]
+    fn stability_tracker_matches_brute_force(
+        n in 1usize..=5,
+        me in 0usize..5,
+        steps in proptest::collection::vec(
+            (0u8..8, 0usize..7, 1u64..10, proptest::collection::vec(0u64..10, 7)),
+            1..80,
+        ),
+    ) {
+        let me = me % n;
+        let mut t = StabilityTracker::new(ProcessId::new(me as u32), n);
+        let mut delivered = vec![BTreeSet::new(); n];
+        let mut rows = vec![vec![0u64; n]; n];
+        let mut prev = vec![0u64; n];
+        for (kind, who, seq, entries) in steps {
+            if kind < 5 {
+                // A delivery (possibly a duplicate or beyond a gap).
+                let origin = who % n;
+                t.on_deliver(MsgId::new(ProcessId::new(origin as u32), seq));
+                delivered[origin].insert(seq);
+            } else {
+                // A report, usually well formed; one kind in three takes
+                // its sender and width raw, so some are out of the group
+                // or the wrong width.
+                let (who, width) = if kind == 7 {
+                    (who, seq as usize % 7)
+                } else {
+                    (who % n, n)
+                };
+                let entries = &entries[..width];
+                let report = VectorClock::from_entries(entries.iter().copied());
+                let valid = who < n && width == n;
+                prop_assert_eq!(t.on_report(ProcessId::new(who as u32), &report), valid);
+                if valid {
+                    for (cell, &v) in rows[who].iter_mut().zip(entries) {
+                        *cell = (*cell).max(v);
+                    }
+                }
+            }
+            let expected = brute_stable(me, &delivered, &rows);
+            prop_assert_eq!(t.stable().as_ref(), expected.as_slice());
+            let advance = t.take_advance().map(|s| s.as_ref().to_vec());
+            if expected == prev {
+                prop_assert_eq!(advance, None);
+            } else {
+                prop_assert_eq!(advance, Some(expected.clone()));
+            }
+            prev = expected;
+        }
     }
 }

@@ -4,9 +4,9 @@
 //! the overlay's quarantine/flush protocol. Every run records per-member
 //! traces and replays them through the `causal-verify` oracle.
 
-use causal_broadcast::clocks::ProcessId;
+use causal_broadcast::clocks::{MsgId, ProcessId};
 use causal_broadcast::core::delivery::{Delivered, DeliveryEngine};
-use causal_broadcast::core::node::{App, Emitter, PcNode};
+use causal_broadcast::core::node::{App, CbcastNode, Emitter, PcNode};
 use causal_broadcast::core::osend::OccursAfter;
 use causal_broadcast::core::stack::{ProtocolStack, VsyncConfig};
 use causal_broadcast::core::statemachine::OpClass;
@@ -230,4 +230,101 @@ fn coordinator_crash_is_survived_under_pc() {
         assert_eq!(sim.node(p(i)).app().value, 2, "member {i}");
     }
     assert_oracle_clean(&sim, 4, "pc coordinator takeover");
+}
+
+/// What a member ends a run with: its counter and the ids it delivered,
+/// sorted.
+type FinalState = (i64, Vec<MsgId>);
+
+/// Submits `ops` increments from rotating members under 30 % loss and
+/// 30 % duplication, runs to quiescence, and checks the traces with the
+/// oracle. Returns every member's final state and the largest
+/// `retained_state()` any member held at the end.
+fn run_under_faults<D>(
+    nodes: Vec<ProtocolStack<D, Sum>>,
+    ops: u32,
+    seed: u64,
+    tag: &str,
+) -> (Vec<FinalState>, usize)
+where
+    D: DeliveryEngine<Op = i64>,
+{
+    let n = nodes.len();
+    let cfg = NetConfig::with_latency(LatencyModel::uniform_micros(100, 2000))
+        .faults(FaultPlan::new().with_drop_prob(0.3).with_dup_prob(0.3));
+    let mut sim = Simulation::new(nodes, cfg, seed);
+    for k in 0..ops {
+        sim.poke(p(k % n as u32), |node, ctx| {
+            node.osend(ctx, 1, OccursAfter::none());
+        });
+        let deadline = sim.now() + SimDuration::from_micros(300);
+        sim.run_until(deadline);
+    }
+    sim.run_to_quiescence();
+    assert!(
+        sim.metrics().dropped > 0,
+        "{tag}: fault injection must trigger"
+    );
+    let report = assert_oracle_clean(&sim, n, tag);
+    assert_eq!(report.deliveries, n * ops as usize, "{tag}");
+    let states = (0..n)
+        .map(|i| {
+            let node = sim.node(p(i as u32));
+            assert_eq!(node.pending_len(), 0, "{tag} member {i}");
+            let mut ids = node.log().to_vec();
+            ids.sort_unstable();
+            (node.app().value, ids)
+        })
+        .collect();
+    let retained = (0..n)
+        .map(|i| sim.node(p(i as u32)).retained_state())
+        .max()
+        .unwrap_or(0);
+    (states, retained)
+}
+
+/// Runs the same faulty workload on `n` members built by `make` with GC
+/// off and on (a report every 4 deliveries), for three seeds: GC must not
+/// change any member's final state, and must keep under an eighth of the
+/// per-message state the GC-off run keeps.
+fn assert_gc_is_invisible_and_bounded<D>(
+    n: usize,
+    ops: u32,
+    make: impl Fn(ProcessId) -> ProtocolStack<D, Sum>,
+) where
+    D: DeliveryEngine<Op = i64>,
+{
+    for seed in 0..3 {
+        let group = |gc: bool| -> Vec<ProtocolStack<D, Sum>> {
+            (0..n)
+                .map(|i| {
+                    let node = make(p(i as u32)).with_tracing();
+                    if gc {
+                        node.with_gc(n, 4)
+                    } else {
+                        node
+                    }
+                })
+                .collect()
+        };
+        let (off, kept_off) =
+            run_under_faults(group(false), ops, seed, &format!("gc off seed {seed}"));
+        let (on, kept_on) = run_under_faults(group(true), ops, seed, &format!("gc on seed {seed}"));
+        assert_eq!(on, off, "seed {seed}: GC changed a final state");
+        assert!(on.iter().all(|(value, _)| *value == ops as i64));
+        assert!(
+            kept_on * 8 < kept_off,
+            "seed {seed}: GC should bound retained state: {kept_on} vs {kept_off}"
+        );
+    }
+}
+
+#[test]
+fn static_tree_gc_matches_gc_off_under_loss_and_dup() {
+    assert_gc_is_invisible_and_bounded(9, 720, |me| PcNode::new(me, 9, Sum::default()));
+}
+
+#[test]
+fn vector_engine_gc_matches_gc_off_under_loss_and_dup() {
+    assert_gc_is_invisible_and_bounded(4, 480, |me| CbcastNode::new(me, 4, Sum::default()));
 }
