@@ -40,7 +40,7 @@ use crate::osend::OccursAfter;
 use crate::rbcast::HasMsgId;
 use crate::stack::Timed;
 use causal_clocks::{MsgId, ProcessId, VectorClock};
-use causal_simnet::SimTime;
+use causal_simnet::{SimDuration, SimTime};
 use pcbcast::link::LinkFrame;
 
 /// Engine-agnostic view of one delivered message, handed to the unified
@@ -240,9 +240,22 @@ pub trait DeliveryEngine {
         }
     }
 
-    /// Unacknowledged link frames due for retransmission.
+    /// Hands the engine the host's current time and the ceiling on its
+    /// links' retransmission timeouts (the host's retransmission period).
+    /// The stack calls it at the start of every callback; an engine never
+    /// given a clock treats every unacknowledged link frame as due.
+    fn set_clock(&mut self, _now: SimTime, _ceiling: SimDuration) {}
+
+    /// Unacknowledged link frames due for retransmission (outstanding
+    /// longer than their link's timeout).
     fn link_retransmissions(&mut self) -> Vec<LinkSend<Self::Envelope>> {
         Vec::new()
+    }
+
+    /// When the earliest unacknowledged link frame falls due for
+    /// retransmission, if any is outstanding.
+    fn link_next_retransmit(&self) -> Option<SimTime> {
+        None
     }
 
     /// Whether any link frame still awaits acknowledgement.

@@ -17,6 +17,10 @@
 //!              | 0x03 ‖ cum(8)                 (Ack)
 //! ```
 //!
+//! On `Msg`, `Ping` and `Pong` frames `seq` is the position in the link's
+//! FIFO stream. On an `Ack` it names the stream frame being acknowledged
+//! (a selective ack on top of the cumulative `cum`); 0 names none.
+//!
 //! A data frame's ordering metadata is the 8-byte link sequence plus
 //! the envelope's 12-byte id — constant in the group size, which is the
 //! whole point ([`crate::wire::pc_overhead_bytes`]).

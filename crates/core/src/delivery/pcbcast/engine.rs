@@ -52,6 +52,7 @@ use crate::osend::OccursAfter;
 use crate::rbcast::HasMsgId;
 use crate::stack::Timed;
 use causal_clocks::{MsgId, ProcessId};
+use causal_simnet::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 
 /// The constant-size PC-broadcast envelope: message identity and
@@ -107,6 +108,9 @@ pub struct PcEngine<P> {
     /// High-water mark of messages buffered around churn: gate entries,
     /// link reassembly buffers, and the largest single pong flush.
     peak_buffered: usize,
+    /// The host's clock and retransmission ceiling (see
+    /// [`DeliveryEngine::set_clock`]), handed to every link.
+    clock: (SimTime, SimDuration),
 }
 
 impl<P: Clone> PcEngine<P> {
@@ -133,7 +137,17 @@ impl<P: Clone> PcEngine<P> {
             duplicates: 0,
             next_token: 0,
             peak_buffered: 0,
+            clock: (SimTime::ZERO, SimDuration::ZERO),
         }
+    }
+
+    /// The link to `peer`, created (unsafe) if it does not exist yet, on
+    /// the engine's clock.
+    fn link_to(&mut self, peer: ProcessId) -> &mut Link<Timed<PcEnvelope<P>>> {
+        let (now, ceiling) = self.clock;
+        let link = self.links.entry(peer).or_default();
+        link.set_clock(now, ceiling);
+        link
     }
 
     /// Links whose outbound direction is currently safe (usable for
@@ -352,8 +366,10 @@ impl<P: Clone> DeliveryEngine for PcEngine<P> {
         // property for nothing).
         self.links.retain(|p, _| members.contains(p));
         let mut sends = Vec::new();
+        let (now, ceiling) = self.clock;
         for nbr in neighbors(self.me, members, self.fanout) {
             let link = self.links.entry(nbr).or_default();
+            link.set_clock(now, ceiling);
             if !link.safe && link.pending_ping.is_none() {
                 self.next_token += 1;
                 let token = self.next_token;
@@ -385,16 +401,10 @@ impl<P: Clone> DeliveryEngine for PcEngine<P> {
         // Lazily materialize link state for a peer whose frames beat our
         // own view installation; our outbound ping goes out when
         // `on_members` runs.
-        let ingress = self.links.entry(from).or_default().on_frame(frame);
+        let ingress = self.link_to(from).on_frame(frame);
         let mut out = LinkDelivery::default();
-        if let Some(cum) = ingress.ack {
-            out.sends.push((
-                from,
-                LinkFrame {
-                    seq: 0,
-                    body: LinkBody::Ack { cum },
-                },
-            ));
+        if let Some(ack) = ingress.ack {
+            out.sends.push((from, ack));
         }
         let mut batch = Vec::new();
         for body in ingress.released {
@@ -405,8 +415,7 @@ impl<P: Clone> DeliveryEngine for PcEngine<P> {
                 LinkBody::Ping { token } => {
                     let delivered: Vec<(ProcessId, u64)> =
                         self.watermark.iter().map(|(&o, &w)| (o, w)).collect();
-                    let link = self.links.entry(from).or_default();
-                    let frame = link.push(LinkBody::Pong { token, delivered });
+                    let frame = self.link_to(from).push(LinkBody::Pong { token, delivered });
                     out.sends.push((from, frame));
                 }
                 LinkBody::Pong { token, delivered } => {
@@ -432,6 +441,17 @@ impl<P: Clone> DeliveryEngine for PcEngine<P> {
 
     fn link_has_pending(&self) -> bool {
         self.links.values().any(Link::has_pending)
+    }
+
+    fn set_clock(&mut self, now: SimTime, ceiling: SimDuration) {
+        self.clock = (now, ceiling);
+        for link in self.links.values_mut() {
+            link.set_clock(now, ceiling);
+        }
+    }
+
+    fn link_next_retransmit(&self) -> Option<SimTime> {
+        self.links.values().filter_map(Link::next_retransmit).min()
     }
 }
 

@@ -6,26 +6,35 @@
 //! fault plans drop them, so this layer synthesizes the property: every
 //! stream frame carries a per-link sequence number, receivers hold
 //! out-of-order arrivals in a reassembly buffer and release them in
-//! sequence, and senders retain unacknowledged frames for timer-driven
-//! retransmission against cumulative acknowledgements.
+//! sequence, and senders retain unacknowledged frames for retransmission.
 //!
 //! Three frame kinds ride the sequenced stream — [`LinkBody::Msg`]
 //! (application data), [`LinkBody::Ping`] and [`LinkBody::Pong`] (the
 //! fresh-link handshake) — so the handshake is ordered and retransmitted
 //! exactly like data, which is what makes the quarantine protocol's
 //! "first frame on a fresh link is the ping" invariant meaningful.
-//! [`LinkBody::Ack`] is unsequenced bookkeeping (`seq` 0): it is
-//! regenerated on every reception, so losing one costs a retransmission,
-//! never correctness.
+//!
+//! [`LinkBody::Ack`] is not part of the stream. Every stream frame
+//! received is answered by one ack that is both *cumulative* (`cum`: the
+//! whole stream up to there has arrived) and *selective* (the ack frame's
+//! `seq` names the stream frame that triggered it, so a frame that
+//! arrived behind a hole is not resent). Acks are regenerated on every
+//! reception, so losing one costs at most a retransmission, never
+//! correctness. A retained frame is resent only once it has been
+//! outstanding longer than the link's round-trip-derived timeout (see
+//! [`retransmit`](crate::retransmit)).
 
+use crate::retransmit::{RetransmitTimer, Stamp};
 use causal_clocks::ProcessId;
+use causal_simnet::{SimDuration, SimTime};
 use std::collections::{BTreeMap, VecDeque};
 
 /// One frame on a directed overlay link.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LinkFrame<T> {
-    /// Position in the link's FIFO stream (1-based); 0 for unsequenced
-    /// control ([`LinkBody::Ack`]).
+    /// Position in the link's FIFO stream (1-based). On a
+    /// [`LinkBody::Ack`], the stream frame being acknowledged (0 names
+    /// none: a purely cumulative ack).
     pub seq: u64,
     /// The payload.
     pub body: LinkBody<T>,
@@ -51,7 +60,8 @@ pub enum LinkBody<T> {
         /// Sorted `(origin, watermark)` pairs.
         delivered: Vec<(ProcessId, u64)>,
     },
-    /// Cumulative acknowledgement of the peer's stream up to `cum`.
+    /// Acknowledgement of the peer's stream: cumulative up to `cum`, and
+    /// selective for the frame the enclosing [`LinkFrame::seq`] names.
     Ack {
         /// Highest in-order sequence received on the reverse direction.
         cum: u64,
@@ -60,8 +70,8 @@ pub enum LinkBody<T> {
 
 /// Both directions of one overlay link, from the owning member's side.
 ///
-/// Outbound: assigns stream sequence numbers, retains frames until
-/// cumulatively acknowledged, and replays the unacknowledged tail on
+/// Outbound: assigns stream sequence numbers, retains frames until they
+/// are acknowledged, and resends those outstanding past their timeout on
 /// demand. Inbound: reassembles the peer's stream into FIFO order.
 #[derive(Debug, Clone)]
 pub struct Link<T> {
@@ -72,8 +82,12 @@ pub struct Link<T> {
     pub pending_ping: Option<u64>,
     /// Next outbound sequence number to assign.
     next_out: u64,
-    /// Sent but not yet cumulatively acknowledged, in sequence order.
-    unacked: VecDeque<(u64, LinkBody<T>)>,
+    /// Sent frames from the oldest unacknowledged one on, in sequence
+    /// order (consecutive sequence numbers, so a frame's index is its
+    /// distance from the front).
+    unacked: VecDeque<Retained<T>>,
+    /// Round-trip estimate and clock behind the per-frame deadlines.
+    timer: RetransmitTimer,
     /// Next inbound sequence number to release.
     next_in: u64,
     /// Out-of-order inbound frames awaiting their predecessors.
@@ -91,6 +105,7 @@ impl<T> Default for Link<T> {
             pending_ping: None,
             next_out: 1,
             unacked: VecDeque::new(),
+            timer: RetransmitTimer::default(),
             next_in: 1,
             reassembly: BTreeMap::new(),
             retransmits: 0,
@@ -99,15 +114,25 @@ impl<T> Default for Link<T> {
     }
 }
 
+/// One retained outbound frame.
+#[derive(Debug, Clone)]
+struct Retained<T> {
+    seq: u64,
+    body: LinkBody<T>,
+    stamp: Stamp,
+    /// Selectively acknowledged while frames before it were not.
+    acked: bool,
+}
+
 /// Result of feeding one inbound frame to [`Link::on_frame`].
 #[derive(Debug, Default)]
 pub struct LinkIngress<T> {
     /// Stream bodies released in FIFO order.
     pub released: Vec<LinkBody<T>>,
-    /// Cumulative acknowledgement to send back, if the frame was a
-    /// stream frame (duplicates are re-acknowledged so the sender stops
+    /// Acknowledgement to send back, if the frame was a stream frame
+    /// (duplicates are re-acknowledged so the sender stops
     /// retransmitting).
-    pub ack: Option<u64>,
+    pub ack: Option<LinkFrame<T>>,
 }
 
 impl<T: Clone> Link<T> {
@@ -126,7 +151,12 @@ impl<T: Clone> Link<T> {
     pub fn push(&mut self, body: LinkBody<T>) -> LinkFrame<T> {
         let seq = self.next_out;
         self.next_out += 1;
-        self.unacked.push_back((seq, body.clone()));
+        self.unacked.push_back(Retained {
+            seq,
+            body: body.clone(),
+            stamp: self.timer.stamp(),
+            acked: false,
+        });
         LinkFrame { seq, body }
     }
 
@@ -139,43 +169,90 @@ impl<T: Clone> Link<T> {
             ack: None,
         };
         if let LinkBody::Ack { cum } = frame.body {
-            self.on_ack(cum);
+            self.on_ack(cum, frame.seq);
             return out;
         }
-        if frame.seq < self.next_in {
+        let seq = frame.seq;
+        if seq < self.next_in {
             // Already released: a retransmission raced the ack.
             self.duplicates += 1;
-        } else if frame.seq == self.next_in {
+        } else if seq == self.next_in {
             self.next_in += 1;
             out.released.push(frame.body);
             while let Some(body) = self.reassembly.remove(&self.next_in) {
                 self.next_in += 1;
                 out.released.push(body);
             }
-        } else if self.reassembly.insert(frame.seq, frame.body).is_some() {
+        } else if self.reassembly.insert(seq, frame.body).is_some() {
             self.duplicates += 1;
         }
-        out.ack = Some(self.next_in - 1);
+        out.ack = Some(LinkFrame {
+            seq,
+            body: LinkBody::Ack {
+                cum: self.next_in - 1,
+            },
+        });
         out
     }
 
-    /// Trims frames the peer has acknowledged receiving.
-    pub fn on_ack(&mut self, cum: u64) {
-        while self.unacked.front().is_some_and(|(s, _)| *s <= cum) {
+    /// Handles an acknowledgement from the peer: frame `seq` (if it is
+    /// above `cum`) and every frame up to `cum` have arrived. Only the
+    /// named frame's round trip is sampled — it is the one whose arrival
+    /// triggered the ack.
+    pub fn on_ack(&mut self, cum: u64, seq: u64) {
+        let Some(front) = self.unacked.front().map(|r| r.seq) else {
+            return;
+        };
+        if let Some(r) = seq
+            .checked_sub(front)
+            .and_then(|i| self.unacked.get_mut(i as usize))
+        {
+            if !r.acked {
+                r.acked = true;
+                self.timer.on_ack(r.stamp);
+            }
+        }
+        while self
+            .unacked
+            .front()
+            .is_some_and(|r| r.acked || r.seq <= cum)
+        {
             self.unacked.pop_front();
         }
     }
 
-    /// Clones the unacknowledged outbound tail for retransmission.
-    pub fn retransmissions(&mut self) -> Vec<LinkFrame<T>> {
-        self.retransmits += self.unacked.len() as u64;
+    /// Hands the link the current time and the ceiling on its
+    /// retransmission timeout. A link never given a clock has a zero
+    /// timeout: every unacknowledged frame is due at every call.
+    pub fn set_clock(&mut self, now: SimTime, ceiling: SimDuration) {
+        self.timer.set_clock(now, ceiling);
+    }
+
+    /// When the earliest unacknowledged frame falls due for
+    /// retransmission, if any is outstanding.
+    pub fn next_retransmit(&self) -> Option<SimTime> {
         self.unacked
             .iter()
-            .map(|(seq, body)| LinkFrame {
-                seq: *seq,
-                body: body.clone(),
-            })
-            .collect()
+            .filter(|r| !r.acked)
+            .map(|r| self.timer.due_at(r.stamp))
+            .min()
+    }
+
+    /// Clones the unacknowledged frames that are due (outstanding longer
+    /// than their timeout) for retransmission, in sequence order.
+    pub fn retransmissions(&mut self) -> Vec<LinkFrame<T>> {
+        let mut due = Vec::new();
+        for r in self.unacked.iter_mut() {
+            if !r.acked && self.timer.is_due(r.stamp) {
+                self.timer.resend(&mut r.stamp);
+                due.push(LinkFrame {
+                    seq: r.seq,
+                    body: r.body.clone(),
+                });
+            }
+        }
+        self.retransmits += due.len() as u64;
+        due
     }
 
     /// Whether any outbound frame still awaits acknowledgement.
@@ -207,6 +284,23 @@ mod tests {
         link.push(LinkBody::Msg(s))
     }
 
+    fn ack(seq: u64, cum: u64) -> LinkFrame<&'static str> {
+        LinkFrame {
+            seq,
+            body: LinkBody::Ack { cum },
+        }
+    }
+
+    const CEILING: SimDuration = SimDuration::from_millis(5);
+
+    fn at(link: &mut Link<&'static str>, micros: u64) {
+        link.set_clock(SimTime::from_micros(micros), CEILING);
+    }
+
+    fn seqs(frames: &[LinkFrame<&'static str>]) -> Vec<u64> {
+        frames.iter().map(|f| f.seq).collect()
+    }
+
     #[test]
     fn in_order_stream_releases_immediately() {
         let mut tx = Link::new_safe();
@@ -233,7 +327,7 @@ mod tests {
             out.released,
             vec![LinkBody::Msg("a"), LinkBody::Msg("b"), LinkBody::Msg("c")]
         );
-        assert_eq!(out.ack, Some(3));
+        assert_eq!(out.ack, Some(ack(1, 3)), "names the trigger, covers all");
         assert_eq!(rx.buffered(), 0);
     }
 
@@ -245,7 +339,11 @@ mod tests {
         assert_eq!(rx.on_frame(f1.clone()).released.len(), 1);
         let again = rx.on_frame(f1);
         assert!(again.released.is_empty());
-        assert_eq!(again.ack, Some(1), "duplicate still re-acknowledged");
+        assert_eq!(
+            again.ack,
+            Some(ack(1, 1)),
+            "duplicate still re-acknowledged"
+        );
         assert_eq!(rx.duplicate_count(), 1);
     }
 
@@ -255,12 +353,12 @@ mod tests {
         let f1 = msg(&mut tx, "a");
         let _f2 = msg(&mut tx, "b");
         assert!(tx.has_pending());
-        tx.on_ack(1);
+        tx.on_ack(1, 1);
         let rtx = tx.retransmissions();
         assert_eq!(rtx.len(), 1);
         assert_eq!(rtx[0].seq, 2);
         assert_ne!(rtx[0].seq, f1.seq);
-        tx.on_ack(2);
+        tx.on_ack(2, 2);
         assert!(!tx.has_pending());
         assert!(tx.retransmissions().is_empty());
     }
@@ -282,7 +380,7 @@ mod tests {
     }
 
     #[test]
-    fn ack_frames_are_unsequenced() {
+    fn ack_frames_are_not_stream_frames() {
         let mut rx: Link<&str> = Link::new_safe();
         let out = rx.on_frame(LinkFrame {
             seq: 0,
@@ -290,5 +388,76 @@ mod tests {
         });
         assert!(out.released.is_empty());
         assert!(out.ack.is_none());
+    }
+
+    #[test]
+    fn selectively_acked_frame_is_never_resent() {
+        let mut tx = Link::new_safe();
+        let mut rx: Link<&str> = Link::new_safe();
+        at(&mut tx, 0);
+        let _lost = msg(&mut tx, "a");
+        let f2 = msg(&mut tx, "b");
+        let f3 = msg(&mut tx, "c");
+        at(&mut tx, 300);
+        for f in [f2, f3] {
+            let a = rx.on_frame(f).ack.expect("stream frames are acked");
+            assert_eq!(a.body, LinkBody::Ack { cum: 0 }, "hole at 1");
+            tx.on_frame(a);
+        }
+        assert!(tx.has_pending());
+        at(&mut tx, 10_000);
+        assert_eq!(seqs(&tx.retransmissions()), vec![1], "only the hole");
+        assert_eq!(tx.retransmit_count(), 1);
+    }
+
+    #[test]
+    fn young_frame_is_not_resent_and_a_lost_one_is_resent_when_due() {
+        let mut tx = Link::new_safe();
+        let mut rx: Link<&str> = Link::new_safe();
+        at(&mut tx, 0);
+        // Before any round trip is measured the ceiling is the timeout.
+        let f1 = msg(&mut tx, "a");
+        assert_eq!(tx.next_retransmit(), Some(SimTime::from_micros(5_000)));
+        at(&mut tx, 400);
+        let a = rx.on_frame(f1).ack.unwrap();
+        tx.on_frame(a); // clean 400 µs sample: timeout 400 + 4·200
+        assert!(!tx.has_pending());
+        assert_eq!(tx.next_retransmit(), None);
+        at(&mut tx, 1_000);
+        let _lost = msg(&mut tx, "b");
+        assert_eq!(tx.next_retransmit(), Some(SimTime::from_micros(2_200)));
+        at(&mut tx, 2_199);
+        assert!(tx.retransmissions().is_empty(), "younger than the timeout");
+        at(&mut tx, 2_200);
+        assert_eq!(seqs(&tx.retransmissions()), vec![2]);
+        // Backed off: the next resend waits twice the timeout.
+        assert_eq!(tx.next_retransmit(), Some(SimTime::from_micros(4_600)));
+    }
+
+    #[test]
+    fn cumulative_ack_still_trims_retained_frames() {
+        let mut tx = Link::new_safe();
+        for s in ["a", "b", "c"] {
+            msg(&mut tx, s);
+        }
+        tx.on_frame(ack(0, 2)); // purely cumulative
+        assert_eq!(seqs(&tx.retransmissions()), vec![3]);
+        tx.on_ack(3, 0);
+        assert!(!tx.has_pending());
+    }
+
+    #[test]
+    fn resent_frame_gives_no_rtt_sample() {
+        let mut tx = Link::new_safe();
+        at(&mut tx, 0);
+        let f1 = msg(&mut tx, "a");
+        at(&mut tx, 5_000);
+        assert_eq!(seqs(&tx.retransmissions()), vec![1]);
+        at(&mut tx, 5_100);
+        tx.on_ack(1, f1.seq);
+        assert!(!tx.has_pending());
+        // Still unmeasured (Karn's rule): a new frame waits the ceiling.
+        msg(&mut tx, "b");
+        assert_eq!(tx.next_retransmit(), Some(SimTime::from_micros(10_100)));
     }
 }

@@ -7,7 +7,8 @@
 //! - [`overlay`]: the deterministic spanning overlay (balanced k-ary
 //!   tree over sorted member ids) that replaces full-mesh dissemination;
 //! - [`link`]: synthesized FIFO links — per-link sequencing, reassembly,
-//!   cumulative acks, retransmission — the ordering substrate;
+//!   cumulative plus selective acks, retransmission of frames outstanding
+//!   past a round-trip-derived timeout — the ordering substrate;
 //! - [`engine`]: the engine proper — forward-on-delivery over safe
 //!   links, the per-origin watermark gate, and the ping/pong quarantine
 //!   protocol for links opened by membership churn.

@@ -61,12 +61,10 @@
 pub mod check;
 pub mod delivery;
 pub mod graph;
-#[cfg(test)]
-#[allow(dead_code)]
-mod legacy;
 pub mod node;
 pub mod osend;
 pub mod rbcast;
+pub mod retransmit;
 pub mod stability;
 pub mod stable;
 pub mod stack;

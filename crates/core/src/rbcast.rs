@@ -6,11 +6,15 @@
 //! dependency on m … is eventually satisfiable at all members", §3.3).
 //! Over the simulator's lossy links this layer supplies that guarantee:
 //! the originator keeps a copy of each message until every peer has
-//! acknowledged it, retransmitting on a timer; receivers acknowledge every
-//! copy and absorb duplicates.
+//! acknowledged it, retransmitting it once it has been outstanding longer
+//! than a timeout derived from measured round trips (see
+//! [`retransmit`](crate::retransmit)); receivers acknowledge every copy
+//! and absorb duplicates.
 
+use crate::retransmit::{RetransmitTimer, Stamp};
 use causal_clocks::{MsgId, ProcessId, VectorClock};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use causal_simnet::{SimDuration, SimTime};
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
 /// Envelope types that carry a unique message identity (implemented by
 /// both the graph and vector-clock envelopes).
@@ -70,8 +74,16 @@ pub struct ReliableBroadcast<E> {
     me: ProcessId,
     peers: BTreeSet<ProcessId>,
     outgoing: HashMap<MsgId, Outgoing<E>>,
-    /// Order of initiation, for deterministic retransmission order.
-    outgoing_order: Vec<MsgId>,
+    /// Order of initiation, for deterministic retransmission order:
+    /// `(ticket, id)`, where an entry is live only while `outgoing[id]`
+    /// still carries that ticket. Retired messages leave their entries
+    /// behind and are skipped (lazy removal), so retiring is O(1)
+    /// amortized.
+    outgoing_order: VecDeque<(u64, MsgId)>,
+    /// Ticket of the next registered outgoing message.
+    next_ticket: u64,
+    /// Round-trip estimate and clock behind the per-copy deadlines.
+    timer: RetransmitTimer,
     seen: HashSet<MsgId>,
     /// Per-origin compaction threshold: ids with `seq <= threshold` were
     /// accepted once and pruned from `seen` (see [`compact`](Self::compact)).
@@ -84,6 +96,10 @@ pub struct ReliableBroadcast<E> {
 struct Outgoing<E> {
     env: E,
     unacked: BTreeSet<ProcessId>,
+    /// When the copies were last sent, and whether they were ever resent.
+    stamp: Stamp,
+    /// Its entry in `outgoing_order`.
+    ticket: u64,
 }
 
 impl<E: HasMsgId + Clone> ReliableBroadcast<E> {
@@ -101,7 +117,9 @@ impl<E: HasMsgId + Clone> ReliableBroadcast<E> {
                 .filter(|&p| p != me)
                 .collect(),
             outgoing: HashMap::new(),
-            outgoing_order: Vec::new(),
+            outgoing_order: VecDeque::new(),
+            next_ticket: 0,
+            timer: RetransmitTimer::default(),
             seen: HashSet::new(),
             compacted: None,
             retransmissions: 0,
@@ -136,7 +154,9 @@ impl<E: HasMsgId + Clone> ReliableBroadcast<E> {
             me,
             peers: peers.into_iter().filter(|&p| p != me).collect(),
             outgoing: HashMap::new(),
-            outgoing_order: Vec::new(),
+            outgoing_order: VecDeque::new(),
+            next_ticket: 0,
+            timer: RetransmitTimer::default(),
             seen: HashSet::new(),
             compacted: None,
             retransmissions: 0,
@@ -154,10 +174,15 @@ impl<E: HasMsgId + Clone> ReliableBroadcast<E> {
             return Vec::new();
         }
         let mut sends = Vec::new();
-        for id in &self.outgoing_order {
-            let out = self.outgoing.get_mut(id).expect("ordered ids exist");
+        for &(ticket, id) in &self.outgoing_order {
+            let Some(out) = self.outgoing.get_mut(&id).filter(|o| o.ticket == ticket) else {
+                continue;
+            };
             if out.unacked.insert(peer) {
                 sends.push((peer, RbMsg::Data(out.env.clone())));
+                // The message has now gone out at two different times, so
+                // no later ack is a clean round-trip sample.
+                self.timer.resend(&mut out.stamp);
             }
         }
         sends
@@ -168,15 +193,11 @@ impl<E: HasMsgId + Clone> ReliableBroadcast<E> {
     /// dropped; fully acknowledged messages are retired.
     pub fn remove_peer(&mut self, peer: ProcessId) {
         self.peers.remove(&peer);
-        self.outgoing.retain(|id, out| {
+        self.outgoing.retain(|_, out| {
             out.unacked.remove(&peer);
-            if out.unacked.is_empty() {
-                self.outgoing_order.retain(|m| m != id);
-                false
-            } else {
-                true
-            }
+            !out.unacked.is_empty()
         });
+        self.trim_order();
     }
 
     /// Reliably replays stored envelopes (own or others') to one peer —
@@ -195,13 +216,44 @@ impl<E: HasMsgId + Clone> ReliableBroadcast<E> {
             if self.outgoing.contains_key(&id) {
                 continue;
             }
-            let mut unacked = BTreeSet::new();
-            unacked.insert(peer);
             sends.push((peer, RbMsg::Data(env.clone())));
-            self.outgoing.insert(id, Outgoing { env, unacked });
-            self.outgoing_order.push(id);
+            self.track(id, env, BTreeSet::from([peer]));
         }
         sends
+    }
+
+    /// Retains `env` as outgoing, owed to `unacked`, sent now.
+    fn track(&mut self, id: MsgId, env: E, unacked: BTreeSet<ProcessId>) {
+        let ticket = self.next_ticket;
+        self.next_ticket += 1;
+        let stamp = self.timer.stamp();
+        self.outgoing.insert(
+            id,
+            Outgoing {
+                env,
+                unacked,
+                stamp,
+                ticket,
+            },
+        );
+        self.outgoing_order.push_back((ticket, id));
+    }
+
+    /// Drops retired entries from the front of the initiation order, and
+    /// from all of it once they outnumber the live ones by more than a
+    /// small slack (so the order stays O(outstanding) even behind a
+    /// long-lived front entry, and each full pass is paid for by the
+    /// retirements since the last).
+    fn trim_order(&mut self) {
+        let outgoing = &self.outgoing;
+        let live =
+            |&(ticket, id): &(u64, MsgId)| outgoing.get(&id).is_some_and(|o| o.ticket == ticket);
+        while self.outgoing_order.front().is_some_and(|e| !live(e)) {
+            self.outgoing_order.pop_front();
+        }
+        if self.outgoing_order.len() > 2 * outgoing.len() + 16 {
+            self.outgoing_order.retain(live);
+        }
     }
 
     /// Registers a locally originated envelope and returns the initial
@@ -224,8 +276,7 @@ impl<E: HasMsgId + Clone> ReliableBroadcast<E> {
         let targets: Vec<ProcessId> = unacked.iter().copied().collect();
         let msg = RbMsg::Data(env.clone());
         if !unacked.is_empty() {
-            self.outgoing.insert(id, Outgoing { env, unacked });
-            self.outgoing_order.push(id);
+            self.track(id, env, unacked);
         }
         (targets, msg)
     }
@@ -244,19 +295,43 @@ impl<E: HasMsgId + Clone> ReliableBroadcast<E> {
         }
     }
 
-    /// Handles an acknowledgement from a peer.
+    /// Handles an acknowledgement from a peer. The first ack from each
+    /// peer of a message that was never resent is a round-trip sample
+    /// (see [`set_clock`](Self::set_clock)).
     pub fn on_ack(&mut self, from: ProcessId, id: MsgId) {
         if let Some(out) = self.outgoing.get_mut(&id) {
-            out.unacked.remove(&from);
+            if out.unacked.remove(&from) {
+                self.timer.on_ack(out.stamp);
+            }
             if out.unacked.is_empty() {
                 self.outgoing.remove(&id);
-                self.outgoing_order.retain(|&m| m != id);
+                self.trim_order();
             }
         }
     }
 
-    /// Returns retransmissions for every copy still unacknowledged, in
-    /// initiation order. Call from a periodic timer.
+    /// Hands the layer the current time and the ceiling on its
+    /// retransmission timeout (the host's retransmission period). Hosts
+    /// call it at the start of every callback; a layer never given a
+    /// clock has a zero timeout, so every unacknowledged copy is due at
+    /// every retransmission call.
+    pub fn set_clock(&mut self, now: SimTime, ceiling: SimDuration) {
+        self.timer.set_clock(now, ceiling);
+    }
+
+    /// When the earliest unacknowledged copy falls due for
+    /// retransmission, if any is outstanding: the instant to arm the
+    /// host's retransmission timer for.
+    pub fn next_retransmit(&self) -> Option<SimTime> {
+        self.outgoing
+            .values()
+            .map(|o| self.timer.due_at(o.stamp))
+            .min()
+    }
+
+    /// Returns retransmissions for every unacknowledged copy that is due
+    /// (outstanding longer than its timeout), in initiation order. Call
+    /// from the host's retransmission timer.
     pub fn retransmissions(&mut self) -> Vec<(ProcessId, RbMsg<E>)> {
         self.retransmissions_grouped()
             .into_iter()
@@ -265,12 +340,18 @@ impl<E: HasMsgId + Clone> ReliableBroadcast<E> {
     }
 
     /// [`retransmissions`](Self::retransmissions) as one multicast per
-    /// in-flight message (initiation order): the peers still owing an
+    /// due message (initiation order): the peers still owing an
     /// acknowledgement (ascending) and the single copy they all get.
     pub fn retransmissions_grouped(&mut self) -> Vec<(Vec<ProcessId>, RbMsg<E>)> {
         let mut out = Vec::new();
-        for id in &self.outgoing_order {
-            let outgoing = &self.outgoing[id];
+        for &(ticket, id) in &self.outgoing_order {
+            let Some(outgoing) = self.outgoing.get_mut(&id).filter(|o| o.ticket == ticket) else {
+                continue;
+            };
+            if !self.timer.is_due(outgoing.stamp) {
+                continue;
+            }
+            self.timer.resend(&mut outgoing.stamp);
             let targets: Vec<ProcessId> = outgoing.unacked.iter().copied().collect();
             self.retransmissions += targets.len() as u64;
             out.push((targets, RbMsg::Data(outgoing.env.clone())));
@@ -519,5 +600,136 @@ mod tests {
         rb.broadcast(e.clone());
         let (fresh, _) = rb.on_data(p(1), e);
         assert_eq!(fresh, None);
+    }
+
+    const CEILING: SimDuration = SimDuration::from_millis(5);
+
+    fn at(rb: &mut ReliableBroadcast<GraphEnvelope<u8>>, micros: u64) {
+        rb.set_clock(SimTime::from_micros(micros), CEILING);
+    }
+
+    fn targets(rtx: &[(Vec<ProcessId>, RbMsg<GraphEnvelope<u8>>)]) -> Vec<Vec<ProcessId>> {
+        rtx.iter().map(|(t, _)| t.clone()).collect()
+    }
+
+    #[test]
+    fn young_copy_is_not_resent_and_a_lost_one_is_resent_when_due() {
+        let mut tx = OSender::new(p(0));
+        let mut rb = ReliableBroadcast::new(p(0), 3);
+        at(&mut rb, 0);
+        let e1 = env(&mut tx, 1);
+        rb.broadcast(e1.clone());
+        // Before any round trip is measured the ceiling is the timeout.
+        assert_eq!(rb.next_retransmit(), Some(SimTime::from_micros(5_000)));
+        at(&mut rb, 4_999);
+        assert!(
+            rb.retransmissions_grouped().is_empty(),
+            "younger than the ceiling"
+        );
+        rb.on_ack(p(1), e1.id); // clean 4999 µs sample
+        rb.on_ack(p(2), e1.id); // second sample: SRTT 4999, RTTVAR 1874
+        assert!(!rb.has_pending());
+        for k in 0..40 {
+            let e = env(&mut tx, 1);
+            at(&mut rb, 10_000 + k * 1_000);
+            rb.broadcast(e.clone());
+            at(&mut rb, 10_400 + k * 1_000);
+            rb.on_ack(p(1), e.id);
+            rb.on_ack(p(2), e.id);
+        }
+
+        at(&mut rb, 60_000);
+        let e2 = env(&mut tx, 2);
+        rb.broadcast(e2.clone());
+        at(&mut rb, 60_300);
+        rb.on_ack(p(2), e2.id);
+        // Smoothed towards 400 µs, but never under the slowest clean
+        // round trip seen (4999 µs).
+        assert_eq!(rb.next_retransmit(), Some(SimTime::from_micros(64_999)));
+        at(&mut rb, 64_998);
+        assert!(rb.retransmissions_grouped().is_empty());
+        at(&mut rb, 64_999);
+        // Only the peer that has not acknowledged gets the copy.
+        assert_eq!(targets(&rb.retransmissions_grouped()), vec![vec![p(1)]]);
+        assert_eq!(rb.retransmission_count(), 1);
+    }
+
+    #[test]
+    fn resends_back_off_up_to_the_ceiling() {
+        let mut tx = OSender::new(p(0));
+        let mut rb = ReliableBroadcast::new(p(0), 2);
+        at(&mut rb, 0);
+        let e = env(&mut tx, 1);
+        rb.broadcast(e.clone());
+        at(&mut rb, 400);
+        rb.on_ack(p(1), e.id); // clean 400 µs sample: timeout 1200
+        at(&mut rb, 2_000);
+        rb.broadcast(env(&mut tx, 2)); // p1 never acks this one
+        let mut resent_at = Vec::new();
+        for now in (2_000..40_000).step_by(100) {
+            at(&mut rb, now);
+            if !rb.retransmissions_grouped().is_empty() {
+                resent_at.push(now);
+            }
+        }
+        // Waits 1200, 2400, 4800, then 9600 capped at 5000, and so on.
+        assert_eq!(
+            resent_at[..6],
+            [3_200, 5_600, 10_400, 15_400, 20_400, 25_400]
+        );
+    }
+
+    #[test]
+    fn resent_copy_gives_no_rtt_sample() {
+        let mut tx = OSender::new(p(0));
+        let mut rb = ReliableBroadcast::new(p(0), 2);
+        at(&mut rb, 0);
+        let e = env(&mut tx, 1);
+        rb.broadcast(e.clone());
+        at(&mut rb, 5_000);
+        assert_eq!(rb.retransmissions_grouped().len(), 1);
+        at(&mut rb, 5_100);
+        rb.on_ack(p(1), e.id);
+        // Still unmeasured (Karn's rule): a new copy waits the ceiling.
+        rb.broadcast(env(&mut tx, 2));
+        assert_eq!(rb.next_retransmit(), Some(SimTime::from_micros(10_100)));
+    }
+
+    #[test]
+    fn retiring_behind_a_stuck_message_keeps_the_order_bounded() {
+        // p2 never acks the first message (slow or crashed); thousands of
+        // later messages retire. The initiation order must not keep them.
+        let mut tx = OSender::new(p(0));
+        let mut rb = ReliableBroadcast::new(p(0), 3);
+        let stuck = env(&mut tx, 0);
+        rb.broadcast(stuck.clone());
+        rb.on_ack(p(1), stuck.id);
+        for k in 0..5_000u32 {
+            let e = env(&mut tx, (k % 200) as u8);
+            rb.broadcast(e.clone());
+            rb.on_ack(p(1), e.id);
+            rb.on_ack(p(2), e.id);
+        }
+        assert_eq!(rb.pending_acks(), 1);
+        assert!(rb.outgoing_order.len() <= 2 * rb.outgoing.len() + 16);
+        // The survivor is still resent, in order, exactly once per call.
+        let rtx = rb.retransmissions();
+        assert_eq!(rtx.len(), 1);
+        assert!(matches!(&rtx[0], (to, RbMsg::Data(d)) if *to == p(2) && d.id == stuck.id));
+    }
+
+    #[test]
+    fn replayed_id_after_retirement_is_resent_once() {
+        // A retired id re-registered by `replay_to` leaves a stale order
+        // entry behind; it must not be resent twice per call.
+        let mut tx = OSender::new(p(0));
+        let mut rb = ReliableBroadcast::new(p(0), 2);
+        let e = env(&mut tx, 1);
+        rb.broadcast(e.clone());
+        rb.broadcast(env(&mut tx, 2)); // keeps the order non-empty
+        rb.on_ack(p(1), e.id);
+        rb.replay_to(p(3), [e.clone()]);
+        let rtx = rb.retransmissions();
+        assert_eq!(rtx.iter().filter(|(to, _)| *to == p(3)).count(), 1);
     }
 }

@@ -209,9 +209,16 @@ pub struct NodeStats {
     /// Stability reports ignored because they could not come from this
     /// group (sender outside it, or a clock of the wrong width).
     pub malformed_reports: u64,
+    /// Copies retransmitted: reliability-layer copies (one per
+    /// destination) plus overlay link frames.
+    pub retransmitted: u64,
 }
 
-/// Default retransmission period for the reliability layer.
+/// Default ceiling on the retransmission timeout of the reliability
+/// layer and of routed engines' links. A copy is resent once it has been
+/// outstanding longer than a timeout derived from measured round trips
+/// (see [`retransmit`](crate::retransmit)); this value caps that timeout
+/// and is the timeout before the first round trip is measured.
 pub const DEFAULT_RETRANSMIT: SimDuration = SimDuration::from_millis(5);
 
 const TIMER_RETRANSMIT: u64 = 1;
@@ -232,7 +239,9 @@ pub struct VsyncConfig {
     pub suspect_after: SimDuration,
     /// Coordinator's failure-detector polling period.
     pub check_every: SimDuration,
-    /// Reliability-layer retransmission period.
+    /// Ceiling on the reliability layer's retransmission timeout, and the
+    /// timeout before the first round trip is measured (see
+    /// [`DEFAULT_RETRANSMIT`]).
     pub retransmit_every: SimDuration,
 }
 
@@ -373,8 +382,9 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
         node
     }
 
-    /// Overrides the retransmission period (default
-    /// [`DEFAULT_RETRANSMIT`]).
+    /// Overrides the ceiling on the retransmission timeout (default
+    /// [`DEFAULT_RETRANSMIT`]): no copy waits longer than `period` for
+    /// its next retransmission.
     pub fn with_retransmit_every(mut self, period: SimDuration) -> Self {
         self.retransmit_every = period;
         self
@@ -562,6 +572,7 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
         if self.crashed {
             return None;
         }
+        self.set_clock(ctx);
         if self.is_flushing() {
             let mem = self
                 .membership
@@ -620,11 +631,32 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
         released
     }
 
+    /// Hands both retransmitting layers the runtime's clock and the
+    /// timeout ceiling; called at the start of every callback.
+    fn set_clock(&mut self, ctx: &Context<'_, StackWire<D::Envelope>>) {
+        self.rb.set_clock(ctx.now(), self.retransmit_every);
+        self.engine.set_clock(ctx.now(), self.retransmit_every);
+    }
+
+    /// Unless it is already armed, arms the retransmission timer for the
+    /// earliest instant a retained copy (reliability layer or overlay
+    /// link) falls due. Copies created while it is armed usually fall due
+    /// later (the same timeout from a later send); one that falls due
+    /// sooner (the timeout shrank, or the armed instant belongs to a
+    /// backed-off copy) waits for the armed fire, which is never more than
+    /// the ceiling after it was sent.
     fn arm_retransmit(&mut self, ctx: &mut Context<'_, StackWire<D::Envelope>>) {
-        if !self.rtx_armed && (self.rb.has_pending() || self.engine.link_has_pending()) {
-            ctx.set_timer(self.retransmit_every, TIMER_RETRANSMIT);
-            self.rtx_armed = true;
+        if self.rtx_armed {
+            return;
         }
+        let Some(due) = (self.rb.next_retransmit().into_iter())
+            .chain(self.engine.link_next_retransmit())
+            .min()
+        else {
+            return;
+        };
+        ctx.set_timer(due.saturating_since(ctx.now()), TIMER_RETRANSMIT);
+        self.rtx_armed = true;
     }
 
     fn process_released(
@@ -830,10 +862,6 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
                 for (to, msg) in rb.replay_to(new, mem.store.iter().cloned()) {
                     ctx.send(to, StackWire::Rb(msg));
                 }
-                if !self.rtx_armed && rb.has_pending() {
-                    ctx.set_timer(self.retransmit_every, TIMER_RETRANSMIT);
-                    self.rtx_armed = true;
-                }
                 mem.fd.observe(new, ctx.now().as_micros());
             }
             // A joiner installing its first group view is now a member.
@@ -852,7 +880,9 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
         }
         // Routed engines reconcile their overlay with the new member set:
         // removed members' links drop, fresh links open quarantined and
-        // start their ping/pong handshake here.
+        // start their ping/pong handshake here. The timer is then armed
+        // for the earliest due copy, replayed copies owed to a joiner
+        // included.
         {
             let members = self
                 .membership
@@ -943,6 +973,7 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> Actor for ProtocolStack<D, A> {
     type Msg = StackWire<D::Envelope>;
 
     fn on_start(&mut self, ctx: &mut Context<'_, Self::Msg>) {
+        self.set_clock(ctx);
         if let Some(mem) = self.membership.as_mut() {
             ctx.set_timer(mem.config.heartbeat_every, TIMER_HEARTBEAT);
             // Every member polls its failure detector: if the coordinator
@@ -975,6 +1006,7 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> Actor for ProtocolStack<D, A> {
         if self.crashed {
             return;
         }
+        self.set_clock(ctx);
         if let Some(mem) = self.membership.as_mut() {
             mem.fd.observe(from, ctx.now().as_micros());
         }
@@ -1098,15 +1130,18 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> Actor for ProtocolStack<D, A> {
         if self.crashed {
             return;
         }
+        self.set_clock(ctx);
         match tag {
             TIMER_RETRANSMIT => {
                 self.rtx_armed = false;
                 if self.rb.has_pending() {
                     for (targets, msg) in self.rb.retransmissions_grouped() {
+                        self.stats.retransmitted += targets.len() as u64;
                         ctx.multicast(targets, StackWire::Rb(msg));
                     }
                 }
                 for (to, frame) in self.engine.link_retransmissions() {
+                    self.stats.retransmitted += 1;
                     ctx.send(to, StackWire::Link(frame));
                 }
                 self.arm_retransmit(ctx);
