@@ -11,7 +11,7 @@ use std::collections::HashMap;
 /// between stable points (§5.1) and eliminates *at* them.
 ///
 /// Input: one `(MsgId, delivery time)` sequence per replica (the
-/// [`NodeStats::delivery_times`](causal_core::node::NodeStats) record).
+/// [`NodeStats::delivery_times`](causal_core::stack::NodeStats) record).
 /// Messages missing from any replica are skipped (e.g. an unfinished
 /// tail).
 ///

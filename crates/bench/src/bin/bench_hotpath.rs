@@ -23,8 +23,8 @@ use causal_bench::json::{array, JsonObject};
 use causal_clocks::ProcessId;
 use causal_core::delivery::reference::{FlatCbcastEngine, ScanGraphDelivery};
 use causal_core::delivery::{CbcastEngine, Delivered, GraphDelivery, VtEnvelope};
-use causal_core::node::{App, Emitter, PcNode};
 use causal_core::osend::{GraphEnvelope, OSender, OccursAfter};
+use causal_core::stack::{App, Emitter, PcNode};
 use causal_core::statemachine::OpClass;
 use causal_net::{spawn_node, LoopbackCluster, NodeHandle, TcpConfig};
 use causal_simnet::{Actor, Context, SimDuration};

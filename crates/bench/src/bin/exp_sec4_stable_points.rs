@@ -20,7 +20,7 @@
 use causal_bench::table::fmt_ms;
 use causal_bench::Table;
 use causal_clocks::ProcessId;
-use causal_core::node::CausalNode;
+use causal_core::stack::CausalNode;
 use causal_core::statemachine::OpClass;
 use causal_replica::counter::{CounterOp, CounterReplica};
 use causal_replica::frontend::FrontEndManager;

@@ -23,9 +23,8 @@
 //! | State transitions `F : M × S → S`, commutativity (§3.2, §5.1) | [`statemachine`] |
 //! | Consistency validation across replicas | [`check`] |
 //! | Reliable broadcast over a lossy network | [`rbcast`] |
-//! | The composed Figure-4 stack around a pluggable engine | [`stack`] |
-//! | Engine aliases over the stack ([`node::CausalNode`], [`node::CbcastNode`]) | [`node`] |
-//! | View-synchronous membership over the stack ([`vsync::VsyncNode`]) | [`vsync`] |
+//! | The composed Figure-4 stack around a pluggable engine ([`stack::CausalNode`], [`stack::CbcastNode`], [`stack::PcNode`]) | [`stack`] |
+//! | View-synchronous membership over the stack ([`stack::ProtocolStack::with_membership`]) | [`stack`] |
 //!
 //! # Examples
 //!
@@ -61,7 +60,6 @@
 pub mod check;
 pub mod delivery;
 pub mod graph;
-pub mod node;
 pub mod osend;
 pub mod rbcast;
 pub mod retransmit;
@@ -71,7 +69,6 @@ pub mod stack;
 pub mod statemachine;
 pub mod total;
 pub mod trace;
-pub mod vsync;
 pub mod wire;
 
 pub use causal_clocks::{CausalOrdering, GroupId, MsgId, ProcessId, VectorClock};

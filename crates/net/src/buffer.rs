@@ -4,9 +4,8 @@
 //! [`RecvBuf`] checked out of a shard-local [`BufferPool`]. Complete
 //! frames are handed out as [`Frame`] views that **borrow the body bytes
 //! in place** — the receive hot path never copies a frame body into an
-//! owned `Vec` (the old `FrameReader` did exactly that copy per frame).
-//! The only bytes ever moved are the sub-frame leftovers compacted to the
-//! buffer front between reads, bounded by one frame size.
+//! owned `Vec`. The only bytes ever moved are the sub-frame leftovers
+//! compacted to the buffer front between reads, bounded by one frame size.
 //!
 //! This module is registered as a wire-panic audit root
 //! (`cargo xtask lint`): [`RecvBuf::next_frame`] faces raw network bytes,
@@ -225,6 +224,7 @@ mod tests {
         let mut rb = pool.acquire();
         let mut wire = Vec::new();
         append_frame(&mut wire, b"zero-copy");
+        append_frame(&mut wire, b"");
         append_frame(&mut wire, b"path");
         feed(&mut rb, &wire);
 
@@ -237,6 +237,9 @@ mod tests {
             p >= lo && p + f.len() <= hi,
             "frame body must live inside the recv buffer (no copy)"
         );
+        // An empty body is a legal frame, not a missing one.
+        let f = rb.next_frame().unwrap().unwrap();
+        assert!(f.is_empty());
         let f = rb.next_frame().unwrap().unwrap();
         assert_eq!(f.bytes(), b"path");
         let p = f.bytes().as_ptr() as usize;

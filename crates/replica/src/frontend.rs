@@ -90,7 +90,7 @@ impl FrontEndManager {
 
     /// Records an externally submitted request (when the caller performed
     /// the `OSend` itself, e.g. through a
-    /// [`CausalNode`](causal_core::node::CausalNode)).
+    /// [`CausalNode`](causal_core::stack::CausalNode)).
     pub fn record(&mut self, id: MsgId, class: OpClass) {
         match class {
             OpClass::NonCommutative => {

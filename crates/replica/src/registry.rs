@@ -22,7 +22,7 @@
 
 use causal_clocks::MsgId;
 use causal_core::delivery::Delivered;
-use causal_core::node::{App, Emitter};
+use causal_core::stack::{App, Emitter};
 use causal_core::statemachine::OpClass;
 use std::collections::HashMap;
 

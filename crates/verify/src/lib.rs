@@ -38,5 +38,5 @@ pub mod oracle;
 pub mod trace;
 
 pub use explorer::{explore_stacks, Explorer, Limits, MsgClass, PorStats, ScriptStep};
-pub use oracle::{check_trace, OracleConfig, OracleReport, OracleViolation, Violation};
+pub use oracle::{check_trace, OracleConfig, OracleReport, OracleViolation};
 pub use trace::Trace;

@@ -2,17 +2,17 @@
 //! one recorded execution.
 //!
 //! This module is the single entry point for convergence checking. The
-//! primitive per-log validators live in [`causal_core::check`] (re-exported
-//! here unchanged, so existing callers keep working); [`check_trace`]
-//! lifts them to whole-group [`Trace`]s and adds the checks that need the
+//! primitive per-log validators live in [`causal_core::check`], and callers
+//! that want one directly import it from there; [`check_trace`] lifts
+//! them to whole-group [`Trace`]s and adds the checks that need the
 //! reliability-layer receipt events and per-member stable-point records:
 //!
 //! | Invariant | Paper | Checker |
 //! |---|---|---|
-//! | Delivery order respects declared `R(M)` | §3.1–3.3 | [`check::causal_order_respected`] per member |
-//! | Delivery order respects vector time | §3.2 (CBCAST arm) | [`check::vt_logs_respect_causality`] |
+//! | Delivery order respects declared `R(M)` | §3.1–3.3 | [`causal_order_respected`] per member |
+//! | Delivery order respects vector time | §3.2 (CBCAST arm) | [`vt_logs_respect_causality`] |
 //! | Exactly-once delivery | §3.3 (reliable broadcast) | duplicate / lost checks on receive+deliver events |
-//! | Same stable-point sequence & activity sets | §4 | [`check::stable_points_consistent`] |
+//! | Same stable-point sequence & activity sets | §4 | [`stable_points_consistent`] |
 //! | Same state bytes at each stable point | §4 | snapshot comparison across members |
 //! | Commutative-window order independence | §5.1 | [`commutative_windows_equivalent`] |
 //! | View agreement under virtual synchrony | §6.3 | installed-view prefix comparison |
@@ -27,10 +27,8 @@ use causal_membership::GroupView;
 use std::collections::HashSet;
 use std::fmt;
 
-pub use causal_core::check::{
-    self, agreement_at_stable_points, causal_order_respected, commutativity_declarations_sound,
-    logs_linearize_graph, replicas_agree, stable_points_consistent, vt_logs_respect_causality,
-    Violation,
+use causal_core::check::{
+    causal_order_respected, stable_points_consistent, vt_logs_respect_causality, Violation,
 };
 
 /// What [`check_trace`] should assume about the run.
@@ -521,7 +519,7 @@ impl std::error::Error for WindowViolation {}
 /// factorial set (adjacent transpositions generate the symmetric group,
 /// so a non-commutative pair is still caught).
 ///
-/// This complements [`agreement_at_stable_points`]: that check compares
+/// This complements [`agreement_at_stable_points`](causal_core::check::agreement_at_stable_points): that check compares
 /// the orders members *happened* to use; this one quantifies over orders
 /// no member used.
 pub fn commutative_windows_equivalent<S, O>(

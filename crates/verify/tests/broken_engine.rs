@@ -4,12 +4,12 @@
 //! the failing schedule must shrink to a minimal counterexample.
 
 use causal_clocks::{MsgId, ProcessId};
+use causal_core::check::Violation;
 use causal_core::delivery::{Delivered, DeliveryEngine};
 use causal_core::osend::{GraphEnvelope, OSender, OccursAfter};
 use causal_core::stack::ProtocolStack;
 use causal_verify::apps::{CounterOp, SumApp};
 use causal_verify::explorer::{explore_stacks, Limits, ScriptStep};
-use causal_verify::oracle::Violation;
 use causal_verify::OracleViolation;
 use std::collections::HashSet;
 

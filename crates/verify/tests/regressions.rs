@@ -7,7 +7,8 @@
 //! file, and from then on every CI run re-verifies that the oracle still
 //! rejects that execution. See `regressions/README.md` for the format.
 
-use causal_verify::{check_trace, OracleConfig, OracleViolation, Trace, Violation};
+use causal_core::check::Violation;
+use causal_verify::{check_trace, OracleConfig, OracleViolation, Trace};
 use std::path::PathBuf;
 
 fn regressions_dir() -> PathBuf {

@@ -26,7 +26,7 @@ pub struct Func {
     /// The function's name.
     pub name: String,
     /// The `impl`/`trait` type name this fn sits inside, if any
-    /// (`impl FrameReader<R>` → `FrameReader`; `impl Transport<M> for
+    /// (`impl RecvBuf` → `RecvBuf`; `impl Transport<M> for
     /// TcpTransport` → `TcpTransport`).
     pub owner: Option<String>,
     /// Token index of the `fn` keyword.

@@ -1,13 +1,13 @@
 //! Wire-panic audit: no panic site may be reachable from a decode entry
 //! point that is fed attacker-controlled bytes.
 //!
-//! The transport hands `FrameReader` raw TCP bytes and the codec in
-//! `core/wire.rs` parses them; a reachable `unwrap`, slice index, or
-//! unchecked length arithmetic in that cone is a remote crash, which in
-//! this protocol also kills liveness for the whole view (the failure
-//! detector will eventually excise the node, but §4's flush protocol
-//! stalls until it does). So the audit walks the call graph from every
-//! decode entry point and flags, anywhere in the reachable cone:
+//! The reactor hands raw TCP bytes to `RecvBuf::next_frame` and the codec
+//! in `core/wire.rs` parses the frames it cuts; a reachable `unwrap`,
+//! slice index, or unchecked length arithmetic in that cone is a remote
+//! crash, which in this protocol also kills liveness for the whole view
+//! (the failure detector will eventually excise the node, but §4's flush
+//! protocol stalls until it does). So the audit walks the call graph from
+//! every decode entry point and flags, anywhere in the reachable cone:
 //!
 //! - `.unwrap(` / `.expect(` / `.unwrap_unchecked(`;
 //! - panic-family macros (`panic!`, `unreachable!`, `todo!`,
@@ -18,7 +18,7 @@
 //!   overflow in debug builds and wrap into a bad slice bound in
 //!   release.
 //!
-//! Entry points are the decode-shaped functions of the two wire files
+//! Entry points are the decode-shaped functions of the wire files
 //! ([`ENTRY_FILES`]): names containing `decode`/`parse`, starting with
 //! `get_`, or in the known set (`take`, `from_wire`, `next_frame`,
 //! `try_pop`). Intentional exceptions (e.g. an assert shielded by an

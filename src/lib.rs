@@ -50,14 +50,13 @@ pub mod prelude {
         CbcastEngine, Delivered, DeliveryEngine, FifoDelivery, GraphDelivery, VtEnvelope,
     };
     pub use causal_core::graph::MsgGraph;
-    pub use causal_core::node::{
-        App, CausalNode, CbcastNode, Emitter, NodeStats, ProtocolStack, StackWire,
-    };
     pub use causal_core::osend::{GraphEnvelope, OSender, OccursAfter};
     pub use causal_core::stable::{CausalActivity, LogEntry, StablePoint, StablePointDetector};
+    pub use causal_core::stack::{
+        App, CausalNode, CbcastNode, Emitter, NodeStats, ProtocolStack, StackWire, VsyncConfig,
+    };
     pub use causal_core::statemachine::{OpClass, Operation, Replica};
     pub use causal_core::total::{DeterministicMerge, RoundMsg, SeqEnvelope, Sequencer};
-    pub use causal_core::vsync::{VsyncConfig, VsyncNode};
     pub use causal_membership::{GroupView, ViewId, ViewManager};
     pub use causal_simnet::{
         Actor, Context, FaultPlan, LatencyModel, NetConfig, Partition, SimDuration, SimTime,

@@ -6,8 +6,8 @@
 
 use causal_broadcast::clocks::{MsgId, ProcessId};
 use causal_broadcast::core::delivery::{Delivered, DeliveryEngine};
-use causal_broadcast::core::node::{App, CbcastNode, Emitter, PcNode};
 use causal_broadcast::core::osend::OccursAfter;
+use causal_broadcast::core::stack::{App, CbcastNode, Emitter, PcNode};
 use causal_broadcast::core::stack::{ProtocolStack, VsyncConfig};
 use causal_broadcast::core::statemachine::OpClass;
 use causal_broadcast::membership::GroupView;

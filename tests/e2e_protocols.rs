@@ -3,8 +3,8 @@
 
 use causal_broadcast::clocks::ProcessId;
 use causal_broadcast::core::check;
-use causal_broadcast::core::node::CausalNode;
 use causal_broadcast::core::osend::OccursAfter;
+use causal_broadcast::core::stack::CausalNode;
 use causal_broadcast::replica::cardgame::CardPlayer;
 use causal_broadcast::replica::document::{DocOp, DocumentReplica};
 use causal_broadcast::replica::lock::LockMember;

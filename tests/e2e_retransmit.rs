@@ -7,8 +7,8 @@
 
 use causal_broadcast::clocks::ProcessId;
 use causal_broadcast::core::delivery::{Delivered, DeliveryEngine};
-use causal_broadcast::core::node::{App, CausalNode, CbcastNode, Emitter, PcNode};
 use causal_broadcast::core::osend::OccursAfter;
+use causal_broadcast::core::stack::{App, CausalNode, CbcastNode, Emitter, PcNode};
 use causal_broadcast::core::stack::{ProtocolStack, DEFAULT_RETRANSMIT};
 use causal_broadcast::core::statemachine::OpClass;
 use causal_broadcast::simnet::{

@@ -7,11 +7,9 @@
 
 use causal_broadcast::clocks::ProcessId;
 use causal_broadcast::core::delivery::{Delivered, DeliveryEngine};
-use causal_broadcast::core::node::{App, Emitter};
 use causal_broadcast::core::osend::OccursAfter;
-use causal_broadcast::core::stack::ProtocolStack;
+use causal_broadcast::core::stack::{App, CausalNode, Emitter, ProtocolStack, VsyncConfig};
 use causal_broadcast::core::statemachine::OpClass;
-use causal_broadcast::core::vsync::{vsync_node, VsyncConfig, VsyncNode};
 use causal_broadcast::membership::GroupView;
 use causal_broadcast::simnet::{
     FaultPlan, LatencyModel, NetConfig, SimDuration, SimTime, Simulation,
@@ -39,9 +37,12 @@ fn p(i: u32) -> ProcessId {
     ProcessId::new(i)
 }
 
-fn group(n: usize) -> Vec<VsyncNode<Sum>> {
+fn group(n: usize) -> Vec<CausalNode<Sum>> {
     (0..n)
-        .map(|i| vsync_node(p(i as u32), n, Sum::default(), VsyncConfig::default()).with_tracing())
+        .map(|i| {
+            CausalNode::with_membership(p(i as u32), n, Sum::default(), VsyncConfig::default())
+                .with_tracing()
+        })
         .collect()
 }
 
@@ -224,7 +225,7 @@ fn join_then_crash_sequence() {
     let cfg = NetConfig::with_latency(LatencyModel::uniform_micros(100, 900));
     let mut nodes = group(3);
     nodes.push(
-        VsyncNode::joining(p(3), p(2), Sum::default(), VsyncConfig::default()).with_tracing(),
+        CausalNode::joining(p(3), p(2), Sum::default(), VsyncConfig::default()).with_tracing(),
     );
     let mut sim = Simulation::new(nodes, cfg, 77);
     for k in 0..6u32 {
@@ -264,7 +265,7 @@ fn joiner_sees_messages_in_causal_order() {
     let cfg = NetConfig::with_latency(LatencyModel::uniform_micros(200, 2500));
     let mut nodes = group(2);
     nodes.push(
-        VsyncNode::joining(p(2), p(0), Sum::default(), VsyncConfig::default()).with_tracing(),
+        CausalNode::joining(p(2), p(0), Sum::default(), VsyncConfig::default()).with_tracing(),
     );
     let mut sim = Simulation::new(nodes, cfg, 5);
     // A causal chain built before/while the join happens.

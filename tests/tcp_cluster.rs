@@ -6,8 +6,8 @@
 use causal_broadcast::clocks::ProcessId;
 use causal_broadcast::core::check;
 use causal_broadcast::core::delivery::Delivered;
-use causal_broadcast::core::node::{App, CausalNode, Emitter};
 use causal_broadcast::core::osend::OccursAfter;
+use causal_broadcast::core::stack::{App, CausalNode, Emitter};
 use causal_broadcast::core::statemachine::OpClass;
 use causal_broadcast::net::{LoopbackCluster, TcpConfig};
 use causal_broadcast::replica::counter::{CounterOp, CounterReplica};
@@ -283,7 +283,7 @@ fn node_shutdown_is_prompt_even_mid_connect() {
 #[test]
 #[cfg_attr(debug_assertions, ignore = "release-only: 64-node cluster")]
 fn many_peer_pc_engine_smoke() {
-    use causal_broadcast::core::node::PcNode;
+    use causal_broadcast::core::stack::PcNode;
     use causal_broadcast::simnet::SimDuration;
 
     const M: usize = 64;
