@@ -25,6 +25,10 @@
 //! is itself rejected at parse time.
 
 use crate::analysis::Finding;
+use std::path::Path;
+
+/// The baseline-hygiene pseudo-rule: an entry that matched nothing.
+pub const RULE: &str = "stale-allow";
 
 /// One vetted exception.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,6 +68,22 @@ impl AllowList {
     /// An empty baseline (used when `lint-allow.toml` does not exist).
     pub fn empty() -> Self {
         AllowList::default()
+    }
+
+    /// Loads `lint-allow.toml` from the workspace `root`; no file means
+    /// an empty baseline.
+    ///
+    /// # Errors
+    ///
+    /// Returns the read error or the parse error, prefixed with the file.
+    pub fn load(root: &Path) -> Result<Self, String> {
+        let path = root.join("lint-allow.toml");
+        if !path.is_file() {
+            return Ok(AllowList::empty());
+        }
+        let text =
+            std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+        AllowList::parse("lint-allow.toml", &text).map_err(|e| format!("lint-allow.toml:{e}"))
     }
 
     /// Parses the TOML subset described in the module docs.
@@ -154,7 +174,7 @@ impl AllowList {
         for (i, e) in self.entries.iter().enumerate() {
             if !used[i] {
                 out.push(Finding {
-                    rule: "stale-allow",
+                    rule: RULE,
                     path: self.source.clone(),
                     line: e.line,
                     snippet: format!("rule = \"{}\", path = \"{}\"", e.rule, e.path),

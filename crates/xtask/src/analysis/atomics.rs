@@ -37,7 +37,8 @@ use std::collections::BTreeMap;
 /// One atomic operation on a field: the site, the method, its orderings.
 type AtomicOp<'a> = (&'a OpSite, &'a str, &'a [String]);
 
-const RULE: &str = "atomic-ordering";
+/// The rule id.
+pub const RULE: &str = "atomic-ordering";
 
 const SCOPE: &str = "crates/net/src/";
 
@@ -96,7 +97,6 @@ pub fn check(ws: &Workspace, fields: &FieldTable) -> Vec<Finding> {
             continue; // pure counter: Relaxed is legal
         }
         for (op, method, ords) in sites {
-            let path = &ws.files[op.file].path;
             let bad = match method {
                 "compare_exchange" | "compare_exchange_weak" | "fetch_update" => {
                     if ords.len() < 2 {
@@ -149,38 +149,19 @@ pub fn check(ws: &Workspace, fields: &FieldTable) -> Vec<Finding> {
                      not a NetSnapshot counter — if the protocol is deliberately advisory, \
                      say why in lint-allow.toml",
                 );
-                findings.push(Finding {
-                    rule: RULE,
-                    path: path.clone(),
-                    line: op.line,
-                    snippet: ws.files[op.file]
-                        .lexed
-                        .line_text(tok_on(ws, op))
-                        .trim()
-                        .to_string(),
-                    detail,
-                });
+                findings.push(Finding::at(RULE, &ws.files[op.file], op.tok, detail));
             }
         }
     }
     findings
 }
 
-fn tok_on(ws: &Workspace, op: &OpSite) -> usize {
-    let lexed = &ws.files[op.file].lexed;
-    (0..lexed.len())
-        .find(|&i| lexed.line_of(i) == op.line)
-        .unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::fields::FieldTable;
-    use crate::analysis::Workspace;
 
     fn run(src: &str) -> Vec<Finding> {
-        let ws = Workspace::from_sources(vec![("crates/net/src/conn.rs".into(), src.into())]);
+        let ws = Workspace::from_sources(&[("crates/net/src/conn.rs", src)]);
         let fields = FieldTable::build(&ws);
         check(&ws, &fields)
     }
@@ -236,11 +217,10 @@ mod tests {
 
     #[test]
     fn core_files_are_out_of_scope() {
-        let ws = Workspace::from_sources(vec![(
-            "crates/core/src/x.rs".into(),
+        let ws = Workspace::from_sources(&[(
+            "crates/core/src/x.rs",
             "struct S { flag: AtomicBool }\n\
-             impl S { fn set(&self) { self.flag.store(true, Ordering::Relaxed); } }"
-                .into(),
+             impl S { fn set(&self) { self.flag.store(true, Ordering::Relaxed); } }",
         )]);
         let fields = FieldTable::build(&ws);
         assert!(check(&ws, &fields).is_empty());

@@ -23,20 +23,22 @@
 //!   duration of kernel I/O; on a shard thread that couples unrelated
 //!   connections' latency, so it is flagged too.
 
-use crate::analysis::callgraph::CallGraph;
-use crate::analysis::cfg::Cfg;
-use crate::analysis::hotpath::{resolve_roots, HotRoot};
-use crate::analysis::{locks, Finding, Workspace};
+use crate::analysis::callgraph::{root_cone, CallGraph, Cone, Root};
+use crate::analysis::locks::{self, LockGraph};
+use crate::analysis::{Finding, SourceFile, Workspace};
+
+/// The rule id.
+pub const RULE: &str = "reactor-blocking";
 
 /// Code that runs on shard threads: the event loop and the inbound
 /// decode callback.
-pub const SHARD_ROOTS: &[HotRoot] = &[
-    HotRoot {
+pub const SHARD_ROOTS: &[Root] = &[
+    Root {
         path: "crates/net/src/reactor.rs",
         owner: Some("Shard"),
         name: "run",
     },
-    HotRoot {
+    Root {
         path: "crates/net/src/node.rs",
         owner: Some("DecodeSink"),
         name: "on_frame",
@@ -58,53 +60,33 @@ const BLOCKING_METHODS: &[&str] = &[
 ];
 
 /// Runs the pass over the workspace.
-pub fn check(ws: &Workspace, graph: &CallGraph) -> Vec<Finding> {
-    check_with_roots(ws, graph, SHARD_ROOTS)
+pub fn check(ws: &Workspace, graph: &CallGraph, locks: &LockGraph) -> Vec<Finding> {
+    check_with_roots(ws, graph, locks, SHARD_ROOTS)
 }
 
 /// Runs the pass with an explicit root set (unit tests inject theirs).
-pub fn check_with_roots(ws: &Workspace, graph: &CallGraph, roots: &[HotRoot]) -> Vec<Finding> {
-    let (root_ids, mut findings) = resolve_roots(ws, graph, roots, "reactor-blocking");
-    let cone = graph.reachable(root_ids);
-    for &id in &cone {
-        let fr = graph.fns[id];
-        let file = &ws.files[fr.file];
-        let f = &file.items.funcs[fr.func];
-        let Some((open, close)) = f.body else {
-            continue;
-        };
-        let qname = match &f.owner {
-            Some(o) => format!("{o}::{}", f.name),
-            None => f.name.clone(),
-        };
-        let cfg = Cfg::build(&file.lexed, open, close);
-        findings.extend(cfg.reachable_facts(|stmt| {
-            let mut out = Vec::new();
-            for i in cfg.own_tokens(stmt) {
-                if let Some(op) = blocking_at(file, i) {
-                    out.push(Finding {
-                        rule: "reactor-blocking",
-                        path: file.path.clone(),
-                        line: file.lexed.line_of(i),
-                        snippet: file.lexed.line_text(i).trim().to_string(),
-                        detail: format!(
-                            "blocking call `{op}` in `{qname}` runs on a shard thread \
-                             (reachable from the shard-callback roots); a stalled shard \
-                             stalls every connection it multiplexes — use the reactor's \
-                             non-blocking equivalents or move the work off-shard"
-                        ),
-                    });
-                }
-            }
-            out
-        }));
-    }
-    findings.extend(locks_across_syscalls(ws, graph, &cone));
+pub fn check_with_roots(
+    ws: &Workspace,
+    graph: &CallGraph,
+    locks: &LockGraph,
+    roots: &[Root],
+) -> Vec<Finding> {
+    let (cone, mut findings) = root_cone(ws, graph, roots, RULE);
+    findings.extend(graph.scan_cone(ws, &cone, RULE, |file, i, qname| {
+        let op = blocking_at(file, i)?;
+        Some(format!(
+            "blocking call `{op}` in `{qname}` runs on a shard thread \
+             (reachable from the shard-callback roots); a stalled shard \
+             stalls every connection it multiplexes — use the reactor's \
+             non-blocking equivalents or move the work off-shard"
+        ))
+    }));
+    findings.extend(locks_across_syscalls(ws, graph, locks, &cone));
     findings
 }
 
 /// If token `i` heads a blocking operation, the operation name.
-fn blocking_at(file: &crate::analysis::SourceFile, i: usize) -> Option<String> {
+fn blocking_at(file: &SourceFile, i: usize) -> Option<String> {
     let lexed = &file.lexed;
     if lexed.kind_at(i) != Some(crate::analysis::lexer::TokKind::Ident)
         || lexed.text_at(i + 1) != "("
@@ -132,33 +114,31 @@ fn blocking_at(file: &crate::analysis::SourceFile, i: usize) -> Option<String> {
 fn locks_across_syscalls(
     ws: &Workspace,
     graph: &CallGraph,
-    cone: &std::collections::BTreeSet<usize>,
+    locks: &LockGraph,
+    cone: &Cone,
 ) -> Vec<Finding> {
     let mut out = Vec::new();
-    let lg = locks::lock_graph(ws, graph);
-    for site in &lg.sites {
-        if !cone.contains(&site.func) {
+    for site in &locks.sites {
+        if !cone.contains_key(&site.func) {
             continue;
         }
-        let fr = graph.fns[site.func];
-        let file = &ws.files[fr.file];
+        let (file, _) = graph.func(ws, site.func);
         let end = locks::hold_region_end(file, site.tok);
         let syscall = (site.tok..=end.min(file.lexed.len().saturating_sub(1)))
             .find(|&j| file.lexed.is_ident(j, "sys") && file.lexed.is_path_sep(j + 1));
         if let Some(j) = syscall {
             let callee = file.lexed.text_at(j + 3);
-            out.push(Finding {
-                rule: "reactor-blocking",
-                path: file.path.clone(),
-                line: file.lexed.line_of(site.tok),
-                snippet: file.lexed.line_text(site.tok).trim().to_string(),
-                detail: format!(
+            out.push(Finding::at(
+                RULE,
+                file,
+                site.tok,
+                format!(
                     "lock `{}` is held across the `sys::{callee}` syscall on a shard \
                      thread — kernel I/O under a lock couples unrelated connections' \
                      latency; drop the guard before the syscall",
                     site.class
                 ),
-            });
+            ));
         }
     }
     out
@@ -167,19 +147,8 @@ fn locks_across_syscalls(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::callgraph::CallGraph;
-    use crate::analysis::Workspace;
 
-    fn ws(files: &[(&str, &str)]) -> Workspace {
-        Workspace::from_sources(
-            files
-                .iter()
-                .map(|(p, s)| (p.to_string(), s.to_string()))
-                .collect(),
-        )
-    }
-
-    const ROOT: &[HotRoot] = &[HotRoot {
+    const ROOT: &[Root] = &[Root {
         path: "crates/net/src/reactor.rs",
         owner: Some("Shard"),
         name: "run",
@@ -187,13 +156,13 @@ mod tests {
 
     #[test]
     fn blocking_calls_in_the_cone_are_flagged() {
-        let w = ws(&[(
+        let w = Workspace::from_sources(&[(
             "crates/net/src/reactor.rs",
             "impl Shard { fn run(&mut self) { self.drain(); } \
                           fn drain(&mut self) { let m = self.rx.recv(); sleep(d); } }",
         )]);
         let g = CallGraph::build(&w);
-        let f = check_with_roots(&w, &g, ROOT);
+        let f = check_with_roots(&w, &g, &locks::lock_graph(&w, &g), ROOT);
         let ops: Vec<&str> = f
             .iter()
             .map(|f| f.detail.split('`').nth(1).unwrap())
@@ -203,18 +172,18 @@ mod tests {
 
     #[test]
     fn blocking_off_the_shard_is_fine() {
-        let w = ws(&[(
+        let w = Workspace::from_sources(&[(
             "crates/net/src/reactor.rs",
             "impl Shard { fn run(&mut self) {} } \
              fn driver_thread(rx: R) { let m = rx.recv(); }",
         )]);
         let g = CallGraph::build(&w);
-        assert!(check_with_roots(&w, &g, ROOT).is_empty());
+        assert!(check_with_roots(&w, &g, &locks::lock_graph(&w, &g), ROOT).is_empty());
     }
 
     #[test]
     fn lock_held_across_syscall_is_flagged() {
-        let w = ws(&[(
+        let w = Workspace::from_sources(&[(
             "crates/net/src/reactor.rs",
             "impl Shard { fn run(&mut self) { \
                 let q = self.queue.lock().unwrap(); \
@@ -222,7 +191,7 @@ mod tests {
              } }",
         )]);
         let g = CallGraph::build(&w);
-        let f = check_with_roots(&w, &g, ROOT);
+        let f = check_with_roots(&w, &g, &locks::lock_graph(&w, &g), ROOT);
         assert_eq!(f.len(), 1, "{f:?}");
         assert!(f[0].detail.contains("held across"), "{}", f[0].detail);
         assert!(f[0].detail.contains("sys::write_fd"), "{}", f[0].detail);
@@ -230,7 +199,7 @@ mod tests {
 
     #[test]
     fn lock_released_before_syscall_is_fine() {
-        let w = ws(&[(
+        let w = Workspace::from_sources(&[(
             "crates/net/src/reactor.rs",
             "impl Shard { fn run(&mut self) { \
                 { let q = self.queue.lock().unwrap(); q.head(); } \
@@ -238,6 +207,6 @@ mod tests {
              } }",
         )]);
         let g = CallGraph::build(&w);
-        assert!(check_with_roots(&w, &g, ROOT).is_empty());
+        assert!(check_with_roots(&w, &g, &locks::lock_graph(&w, &g), ROOT).is_empty());
     }
 }

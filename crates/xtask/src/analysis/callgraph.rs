@@ -25,10 +25,18 @@
 //!
 //! `#[cfg(test)]` functions are excluded entirely: they neither appear
 //! as nodes nor resolve as callees.
+//!
+//! The graph also owns what the cone-based passes share: declared root
+//! sets ([`Root`], [`root_cone`]), the breadth-first cone walk that
+//! records a witness path per function ([`CallGraph::cone`]), and the
+//! scan over every CFG-reachable statement of a cone
+//! ([`CallGraph::scan_cone`]).
 
+use crate::analysis::cfg::Cfg;
 use crate::analysis::lexer::{Lexed, TokKind};
-use crate::analysis::Workspace;
-use std::collections::{BTreeSet, HashMap};
+use crate::analysis::parser::{matching_close, matching_open, Func};
+use crate::analysis::{Finding, SourceFile, Workspace};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// Rust keywords that precede `(` without being calls.
 pub const KEYWORDS: &[&str] = &[
@@ -115,22 +123,139 @@ impl CallGraph {
         self.by_name.get(name).map_or(&[], |v| v.as_slice())
     }
 
-    /// The transitive closure of callees from `roots` (inclusive).
-    pub fn reachable(&self, roots: impl IntoIterator<Item = usize>) -> BTreeSet<usize> {
-        let mut seen: BTreeSet<usize> = BTreeSet::new();
-        let mut stack: Vec<usize> = roots.into_iter().collect();
-        while let Some(id) = stack.pop() {
-            if !seen.insert(id) {
-                continue;
-            }
+    /// The transitive closure of callees from `roots` (inclusive),
+    /// walked breadth-first so each function's witness names the first
+    /// root to reach it and its direct caller on that path.
+    pub fn cone(&self, roots: impl IntoIterator<Item = usize>) -> Cone {
+        let mut cone = Cone::new();
+        let mut queue = VecDeque::new();
+        for r in roots {
+            cone.entry(r).or_insert((r, None));
+            queue.push_back(r);
+        }
+        while let Some(id) = queue.pop_front() {
+            let (root, _) = cone[&id];
             for c in &self.calls[id] {
-                if !seen.contains(&c.callee) {
-                    stack.push(c.callee);
-                }
+                cone.entry(c.callee).or_insert_with(|| {
+                    queue.push_back(c.callee);
+                    (root, Some(id))
+                });
             }
         }
-        seen
+        cone
     }
+
+    /// The file and the parsed function behind global id `id`.
+    pub fn func<'w>(&self, ws: &'w Workspace, id: usize) -> (&'w SourceFile, &'w Func) {
+        let fr = self.fns[id];
+        let file = &ws.files[fr.file];
+        (file, &file.items.funcs[fr.func])
+    }
+
+    /// Scans every token of every CFG-reachable statement of every
+    /// function in `cone` (in id, then source order): where `detail`,
+    /// given the file, the token and the function's qualified name,
+    /// returns an explanation, that token is a `rule` finding.
+    pub fn scan_cone(
+        &self,
+        ws: &Workspace,
+        cone: &Cone,
+        rule: &'static str,
+        mut detail: impl FnMut(&SourceFile, usize, &str) -> Option<String>,
+    ) -> Vec<Finding> {
+        let mut out = Vec::new();
+        for &id in cone.keys() {
+            let (file, f) = self.func(ws, id);
+            let Some((open, close)) = f.body else {
+                continue;
+            };
+            let qname = f.qualified_name();
+            let cfg = Cfg::build(&file.lexed, open, close);
+            out.extend(cfg.reachable_facts(|stmt| {
+                cfg.own_tokens(stmt)
+                    .filter_map(|i| Some(Finding::at(rule, file, i, detail(file, i, &qname)?)))
+                    .collect()
+            }));
+        }
+        out
+    }
+}
+
+/// A cone: every function reachable from a root set, by global id,
+/// with the `(root, parent)` witness of the first path that reached it
+/// (`parent` is the direct caller; `None` for a root).
+pub type Cone = BTreeMap<usize, (usize, Option<usize>)>;
+
+/// A declared root: one concrete function a cone starts from.
+#[derive(Debug, Clone, Copy)]
+pub struct Root {
+    /// Workspace-relative file path.
+    pub path: &'static str,
+    /// `impl` owner, if the fn is a method.
+    pub owner: Option<&'static str>,
+    /// Function name.
+    pub name: &'static str,
+}
+
+impl Root {
+    /// Global ids of the functions this root names (empty when its
+    /// file or function is absent).
+    pub fn resolve(&self, ws: &Workspace, graph: &CallGraph) -> Vec<usize> {
+        graph
+            .named(self.name)
+            .iter()
+            .copied()
+            .filter(|&id| {
+                let (file, f) = graph.func(ws, id);
+                file.path == self.path && f.owner.as_deref() == self.owner
+            })
+            .collect()
+    }
+
+    fn qualified(&self) -> String {
+        match self.owner {
+            Some(o) => format!("{o}::{}", self.name),
+            None => self.name.to_string(),
+        }
+    }
+}
+
+/// Resolves the declared roots against the workspace and walks their
+/// cone. Returns the cone plus a `rule` finding per root whose file
+/// exists but whose function does not — a silently-empty root set
+/// would turn the gate off. A root whose file is absent is skipped, so
+/// fixture workspaces run; the integration tests check that every
+/// declared file exists in the real workspace.
+pub fn root_cone(
+    ws: &Workspace,
+    graph: &CallGraph,
+    roots: &[Root],
+    rule: &'static str,
+) -> (Cone, Vec<Finding>) {
+    let mut ids = Vec::new();
+    let mut findings = Vec::new();
+    for root in roots {
+        if ws.file(root.path).is_none() {
+            continue;
+        }
+        let found = root.resolve(ws, graph);
+        if found.is_empty() {
+            findings.push(Finding {
+                rule,
+                path: root.path.to_string(),
+                line: 1,
+                snippet: format!("missing hot root `{}`", root.qualified()),
+                detail: format!(
+                    "declared root `{}` not found in this file — the function was \
+                     renamed or moved; update the `{rule}` root set in \
+                     crates/xtask/src/analysis/ so the gate keeps covering its cone",
+                    root.qualified()
+                ),
+            });
+        }
+        ids.extend(found);
+    }
+    (graph.cone(ids), findings)
 }
 
 fn looks_generic(q: &str) -> bool {
@@ -165,7 +290,7 @@ fn extract_calls(
     let mut unsafe_spans: Vec<(usize, usize)> = Vec::new();
     for i in open..close.min(lexed.len()) {
         if lexed.is_ident(i, "unsafe") && lexed.text_at(i + 1) == "{" {
-            unsafe_spans.push((i + 1, crate::analysis::parser::matching_close(lexed, i + 1)));
+            unsafe_spans.push((i + 1, matching_close(lexed, i + 1)));
         }
     }
     for i in open..=close.min(lexed.len().saturating_sub(1)) {
@@ -206,30 +331,20 @@ fn extract_calls(
                 ""
             };
             let candidates = by_name.get(name).cloned().unwrap_or_default();
-            if q == "Self" {
-                // `Self::name(…)` inside an impl block: resolve against
-                // the caller's own impl owner (any file — impl blocks
-                // for one type can be split across files), falling back
-                // to same-file name matching when the caller is a free
-                // fn (malformed, but keep the old over-approximation).
-                match caller_owner.and_then(|o| by_owner.get(o)) {
-                    Some(owned) => candidates
-                        .iter()
-                        .copied()
-                        .filter(|id| owned.contains(id))
-                        .collect(),
-                    None => same_file(&candidates),
-                }
-            } else if let Some(owned) = by_owner.get(q) {
-                candidates
-                    .iter()
-                    .copied()
+            // `Self::name(…)` inside an impl block resolves against the
+            // caller's own impl owner (any file — impl blocks for one
+            // type can be split across files), falling back to
+            // same-file name matching when the caller is a free fn
+            // (malformed, but keep the old over-approximation).
+            let owner = if q == "Self" { caller_owner } else { Some(q) };
+            match owner.and_then(|o| by_owner.get(o)) {
+                Some(owned) => candidates
+                    .into_iter()
                     .filter(|id| owned.contains(id))
-                    .collect()
-            } else if looks_generic(q) || looks_module(q) {
-                candidates
-            } else {
-                Vec::new()
+                    .collect(),
+                None if q == "Self" => same_file(&candidates),
+                None if looks_generic(q) || looks_module(q) => candidates,
+                None => Vec::new(),
             }
         } else {
             // Bare call.
@@ -246,64 +361,29 @@ fn extract_calls(
 /// through `ident . ident . … ( )`-ish links and reports whether its
 /// root is literally `self`.
 fn receiver_rooted_at_self(lexed: &Lexed, mut dot: usize) -> bool {
-    loop {
-        if dot == 0 {
-            return false;
-        }
-        let prev = dot - 1;
-        match lexed.text(prev) {
-            ")" | "]" => {
-                // Call or index result: find the matching opener, then
-                // continue left of it (past the method name if any).
-                let mut depth = 0isize;
-                let mut j = prev;
-                loop {
-                    match lexed.text(j) {
-                        ")" | "]" | "}" => depth += 1,
-                        "(" | "[" | "{" => {
-                            depth -= 1;
-                            if depth == 0 {
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                    if j == 0 {
-                        return false;
-                    }
-                    j -= 1;
-                }
-                if j == 0 {
-                    return false;
-                }
-                // Past the opener: a name before it? (`foo(…)` / `x[…]`)
-                if lexed.kind_at(j - 1) == Some(TokKind::Ident) {
-                    dot = j - 1; // re-inspect from the name's position
-                    if lexed.text(dot) == "self" {
-                        return true;
-                    }
-                    if dot == 0 || lexed.text(dot - 1) != "." {
-                        return false;
-                    }
-                    dot -= 1;
-                    continue;
-                }
+    while dot > 0 {
+        let mut link = dot - 1;
+        // Call or index result: continue left of the matching opener,
+        // at the name before it (`foo(…)` / `x[…]`).
+        if matches!(lexed.text(link), ")" | "]") {
+            let open = matching_open(lexed, link);
+            if open == 0 {
                 return false;
             }
-            _ => {
-                if lexed.kind_at(prev) != Some(TokKind::Ident) {
-                    return false;
-                }
-                if lexed.text(prev) == "self" {
-                    return true;
-                }
-                if prev == 0 || lexed.text(prev - 1) != "." {
-                    return false;
-                }
-                dot = prev - 1;
-            }
+            link = open - 1;
         }
+        if lexed.kind_at(link) != Some(TokKind::Ident) {
+            return false;
+        }
+        if lexed.text(link) == "self" {
+            return true;
+        }
+        if link == 0 || lexed.text(link - 1) != "." {
+            return false;
+        }
+        dot = link - 1;
     }
+    false
 }
 
 #[cfg(test)]
@@ -311,29 +391,17 @@ mod tests {
     use super::*;
     use crate::analysis::Workspace;
 
-    fn ws(files: &[(&str, &str)]) -> Workspace {
-        Workspace::from_sources(
-            files
-                .iter()
-                .map(|(p, s)| (p.to_string(), s.to_string()))
-                .collect(),
-        )
-    }
-
     fn edge_names(ws: &Workspace, g: &CallGraph, from: &str) -> Vec<String> {
         let from_id = g.named(from)[0];
         g.calls[from_id]
             .iter()
-            .map(|c| {
-                let fr = g.fns[c.callee];
-                ws.files[fr.file].items.funcs[fr.func].name.clone()
-            })
+            .map(|c| g.func(ws, c.callee).1.name.clone())
             .collect()
     }
 
     #[test]
     fn bare_and_qualified_calls_resolve() {
-        let w = ws(&[
+        let w = Workspace::from_sources(&[
             (
                 "crates/a/src/lib.rs",
                 "fn entry() { helper(); Widget::new(); frame::poke(); TcpStream::connect(); }
@@ -353,7 +421,7 @@ mod tests {
 
     #[test]
     fn generic_qualifier_falls_back_to_name() {
-        let w = ws(&[
+        let w = Workspace::from_sources(&[
             (
                 "crates/a/src/lib.rs",
                 "fn run(input: &mut &[u8]) { let _ = E::decode(input); }",
@@ -369,7 +437,7 @@ mod tests {
 
     #[test]
     fn self_methods_resolve_same_file_only() {
-        let w = ws(&[
+        let w = Workspace::from_sources(&[
             (
                 "crates/a/src/lib.rs",
                 "impl R { fn next(&mut self) { self.pop(); self.buf.pop(); stream.shutdown(); } \
@@ -390,7 +458,7 @@ mod tests {
 
     #[test]
     fn self_qualified_calls_resolve_by_owner_across_files() {
-        let w = ws(&[
+        let w = Workspace::from_sources(&[
             (
                 "crates/a/src/engine.rs",
                 "impl Engine { fn drive(&mut self) { Self::step(); } } \
@@ -409,11 +477,8 @@ mod tests {
         let callees: Vec<_> = g.calls[drive]
             .iter()
             .map(|c| {
-                let fr = g.fns[c.callee];
-                (
-                    w.files[fr.file].path.clone(),
-                    w.files[fr.file].items.funcs[fr.func].owner.clone(),
-                )
+                let (file, f) = g.func(&w, c.callee);
+                (file.path.clone(), f.owner.clone())
             })
             .collect();
         assert_eq!(
@@ -427,7 +492,7 @@ mod tests {
 
     #[test]
     fn test_functions_are_invisible() {
-        let w = ws(&[(
+        let w = Workspace::from_sources(&[(
             "crates/a/src/lib.rs",
             "fn prod() { helper(); } \
              #[cfg(test)] mod tests { pub fn helper() { panic!() } } \
@@ -440,18 +505,15 @@ mod tests {
 
     #[test]
     fn reachability_walks_transitively() {
-        let w = ws(&[(
+        let w = Workspace::from_sources(&[(
             "crates/a/src/lib.rs",
             "fn a() { b(); } fn b() { c(); } fn c() {} fn d() {}",
         )]);
         let g = CallGraph::build(&w);
-        let reach = g.reachable(g.named("a").iter().copied());
+        let reach = g.cone(g.named("a").iter().copied());
         let names: Vec<_> = reach
-            .iter()
-            .map(|&id| {
-                let fr = g.fns[id];
-                w.files[fr.file].items.funcs[fr.func].name.clone()
-            })
+            .keys()
+            .map(|&id| g.func(&w, id).1.name.clone())
             .collect();
         assert_eq!(names, ["a", "b", "c"]);
     }

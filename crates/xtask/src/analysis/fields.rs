@@ -141,12 +141,10 @@ pub enum FieldKind {
 pub struct FieldDef {
     /// Field name.
     pub name: String,
-    /// Rendered type text (tokens joined; display only).
-    pub ty: String,
     /// Resolved classification.
     pub kind: FieldKind,
-    /// 1-based line of the field name.
-    pub line: usize,
+    /// Token index of the field name.
+    pub tok: usize,
 }
 
 /// One struct definition with named fields.
@@ -156,8 +154,6 @@ pub struct StructDef {
     pub file: usize,
     /// Struct name.
     pub name: String,
-    /// 1-based line of the `struct` keyword.
-    pub line: usize,
     /// Named fields in declaration order (tuple/unit structs have none).
     pub fields: Vec<FieldDef>,
 }
@@ -167,8 +163,9 @@ pub struct StructDef {
 pub struct OpSite {
     /// Index into `ws.files`.
     pub file: usize,
-    /// 1-based line of the field token that roots the chain.
-    pub line: usize,
+    /// Token index of the field that roots the chain (of `take` for a
+    /// `mem::take` site).
+    pub tok: usize,
     /// Name of the function containing the site.
     pub in_fn: String,
     /// `impl` owner of the containing function, if any.
@@ -292,21 +289,6 @@ fn classify_type(lexed: &Lexed, span: std::ops::Range<usize>) -> FieldKind {
     FieldKind::Other
 }
 
-fn render_type(lexed: &Lexed, span: std::ops::Range<usize>) -> String {
-    let mut out = String::new();
-    for i in span {
-        let t = lexed.text(i);
-        if !out.is_empty() && t.chars().next().is_some_and(|c| c.is_alphanumeric()) {
-            let last = out.chars().last().unwrap_or(' ');
-            if last.is_alphanumeric() || last == '>' {
-                out.push(' ');
-            }
-        }
-        out.push_str(t);
-    }
-    out
-}
-
 fn collect_structs(
     file: usize,
     lexed: &Lexed,
@@ -324,25 +306,10 @@ fn collect_structs(
             continue;
         }
         let name = lexed.text(i + 1).to_string();
-        let line = lexed.line_of(i);
         // Skip generics and a `where` clause to the body opener.
         let mut j = i + 2;
         if lexed.text_at(j) == "<" {
-            let mut depth = 0isize;
-            while j < n {
-                match lexed.text(j) {
-                    "<" => depth += 1,
-                    ">" => {
-                        depth -= 1;
-                        if depth == 0 {
-                            j += 1;
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-                j += 1;
-            }
+            j = parser::skip_generics(lexed, j);
         }
         while j < n && !matches!(lexed.text(j), "{" | "(" | ";") {
             j += 1;
@@ -352,7 +319,6 @@ fn collect_structs(
             out.push(StructDef {
                 file,
                 name,
-                line,
                 fields: Vec::new(),
             });
             i = j.max(i + 1);
@@ -360,12 +326,7 @@ fn collect_structs(
         }
         let close = parser::matching_close(lexed, j);
         let fields = collect_fields(lexed, j + 1, close);
-        out.push(StructDef {
-            file,
-            name,
-            line,
-            fields,
-        });
+        out.push(StructDef { file, name, fields });
         i = close + 1;
     }
 }
@@ -387,7 +348,6 @@ fn collect_fields(lexed: &Lexed, mut k: usize, close: usize) -> Vec<FieldDef> {
             break;
         }
         let name = lexed.text(k).to_string();
-        let line = lexed.line_of(k);
         let ty_start = k + 2;
         // The type runs to the next comma outside every bracket depth
         // (including generics' angle brackets).
@@ -408,9 +368,8 @@ fn collect_fields(lexed: &Lexed, mut k: usize, close: usize) -> Vec<FieldDef> {
         }
         fields.push(FieldDef {
             kind: classify_type(lexed, ty_start..j),
-            ty: render_type(lexed, ty_start..j),
             name,
-            line,
+            tok: k,
         });
         k = j + 1;
     }
@@ -498,7 +457,7 @@ fn collect_ops(
             if let Some((field, via_self)) = field_in_args(lexed, t + 2, close_p, known, &aliases) {
                 out.push(OpSite {
                     file,
-                    line: lexed.line_of(t),
+                    tok: t,
                     in_fn: func.name.clone(),
                     fn_owner: func.owner.clone(),
                     fn_idx,
@@ -564,7 +523,7 @@ fn collect_ops(
         if !methods.is_empty() {
             out.push(OpSite {
                 file,
-                line: lexed.line_of(t),
+                tok: t,
                 in_fn: func.name.clone(),
                 fn_owner: func.owner.clone(),
                 fn_idx,
@@ -647,7 +606,7 @@ mod tests {
     use crate::analysis::Workspace;
 
     fn table(src: &str) -> (Workspace, FieldTable) {
-        let ws = Workspace::from_sources(vec![("crates/net/src/x.rs".into(), src.into())]);
+        let ws = Workspace::from_sources(&[("crates/net/src/x.rs", src)]);
         let t = FieldTable::build(&ws);
         (ws, t)
     }

@@ -31,12 +31,13 @@
 //! `on_ack` / `on_members` hooks, the conn-table drain/abandon pair,
 //! shard teardown and timer firing).
 
-use crate::analysis::callgraph::CallGraph;
+use crate::analysis::callgraph::{root_cone, CallGraph, Root};
 use crate::analysis::fields::{FieldKind, FieldTable};
-use crate::analysis::hotpath::{resolve_roots, HotRoot};
 use crate::analysis::{Finding, Workspace};
+use std::collections::BTreeSet;
 
-const RULE: &str = "bounded-growth";
+/// The rule id.
+pub const RULE: &str = "bounded-growth";
 
 /// One declared long-lived state struct.
 #[derive(Debug, Clone, Copy)]
@@ -94,88 +95,88 @@ pub const STATE_STRUCTS: &[StateStruct] = &[
 
 /// The stability / ack / GC / teardown roots the shrink sites must be
 /// reachable from.
-pub const GC_ROOTS: &[HotRoot] = &[
-    HotRoot {
+pub const GC_ROOTS: &[Root] = &[
+    Root {
         path: "crates/core/src/stack.rs",
         owner: Some("ProtocolStack"),
         name: "compact_now",
     },
-    HotRoot {
+    Root {
         path: "crates/core/src/stack.rs",
         owner: Some("ProtocolStack"),
         name: "on_installed",
     },
-    HotRoot {
+    Root {
         path: "crates/core/src/delivery/pcbcast/engine.rs",
         owner: Some("PcEngine"),
         name: "ingest",
     },
-    HotRoot {
+    Root {
         path: "crates/core/src/delivery/pcbcast/engine.rs",
         owner: Some("PcEngine"),
         name: "on_members",
     },
-    HotRoot {
+    Root {
         path: "crates/core/src/delivery/pcbcast/link.rs",
         owner: Some("Link"),
         name: "on_ack",
     },
-    HotRoot {
+    Root {
         path: "crates/core/src/delivery/pcbcast/link.rs",
         owner: Some("Link"),
         name: "on_frame",
     },
-    HotRoot {
+    Root {
         path: "crates/core/src/stability.rs",
         owner: Some("ContiguousPrefix"),
         name: "on_deliver",
     },
-    HotRoot {
+    Root {
         path: "crates/core/src/delivery/graph_engine.rs",
         owner: Some("GraphDelivery"),
         name: "compact",
     },
-    HotRoot {
+    Root {
         path: "crates/core/src/delivery/graph_engine.rs",
         owner: Some("GraphDelivery"),
         name: "on_receive_into",
     },
-    HotRoot {
+    Root {
         path: "crates/core/src/rbcast.rs",
         owner: Some("ReliableBroadcast"),
         name: "compact",
     },
-    HotRoot {
+    Root {
         path: "crates/core/src/rbcast.rs",
         owner: Some("ReliableBroadcast"),
         name: "on_ack",
     },
-    HotRoot {
+    Root {
         path: "crates/core/src/rbcast.rs",
         owner: Some("ReliableBroadcast"),
         name: "remove_peer",
     },
-    HotRoot {
+    Root {
         path: "crates/net/src/conn.rs",
         owner: Some("LinkState"),
         name: "drain_queue_into",
     },
-    HotRoot {
+    Root {
         path: "crates/net/src/conn.rs",
         owner: Some("LinkState"),
         name: "abandon_queue",
     },
-    HotRoot {
+    Root {
         path: "crates/net/src/reactor.rs",
         owner: Some("Shard"),
         name: "drop_node_conns",
     },
-    HotRoot {
+    Root {
         path: "crates/net/src/reactor.rs",
         owner: Some("Shard"),
         name: "teardown_all",
     },
-    HotRoot {
+    Root {
         path: "crates/net/src/reactor.rs",
         owner: Some("Shard"),
         name: "fire_timers",
@@ -193,15 +194,14 @@ pub fn check_with(
     graph: &CallGraph,
     fields: &FieldTable,
     structs: &[StateStruct],
-    roots: &[HotRoot],
+    roots: &[Root],
 ) -> Vec<Finding> {
-    let (root_ids, mut findings) = resolve_roots(ws, graph, roots, RULE);
-    let cone = graph.reachable(root_ids.iter().copied());
-    // Map (file, func-in-file) → call-graph id, for shrink-site lookup.
-    let mut graph_id = std::collections::HashMap::new();
-    for (id, fr) in graph.fns.iter().enumerate() {
-        graph_id.insert((fr.file, fr.func), id);
-    }
+    let (cone, mut findings) = root_cone(ws, graph, roots, RULE);
+    // The cone as (file, func-in-file) pairs, for shrink-site lookup.
+    let cone: BTreeSet<(usize, usize)> = cone
+        .keys()
+        .map(|&id| (graph.fns[id].file, graph.fns[id].func))
+        .collect();
     for decl in structs {
         let Some(fi) = ws.files.iter().position(|f| f.path == decl.path) else {
             continue; // fixture workspace without the file
@@ -221,7 +221,8 @@ pub fn check_with(
             });
             continue;
         };
-        let crate_name = ws.files[fi].crate_name.clone();
+        let file = &ws.files[fi];
+        let crate_name = file.crate_name.clone();
         for field in &sd.fields {
             let FieldKind::Container(container) = field.kind else {
                 continue;
@@ -244,16 +245,11 @@ pub fn check_with(
                 .collect();
             let shrinks: Vec<_> = ops.iter().filter(|o| o.shrinks()).collect();
             if shrinks.is_empty() {
-                findings.push(Finding {
-                    rule: RULE,
-                    path: decl.path.to_string(),
-                    line: field.line,
-                    snippet: ws.files[fi]
-                        .lexed
-                        .line_text(field_tok(ws, fi, field.line))
-                        .trim()
-                        .to_string(),
-                    detail: format!(
+                findings.push(Finding::at(
+                    RULE,
+                    file,
+                    field.tok,
+                    format!(
                         "`{}.{}` ({}<…>) never shrinks: {} grow site(s), no \
                          remove/clear/drain/pop/retain anywhere in crate `{}` — long-lived \
                          protocol state must be compacted at stability, acked, or torn down \
@@ -265,58 +261,43 @@ pub fn check_with(
                         ops.iter().filter(|o| o.grows()).count(),
                         crate_name,
                     ),
-                });
+                ));
                 continue;
             }
-            let rooted = shrinks.iter().any(|o| {
-                graph_id
-                    .get(&(o.file, o.fn_idx))
-                    .is_some_and(|id| cone.contains(id))
-            });
+            let rooted = shrinks.iter().any(|o| cone.contains(&(o.file, o.fn_idx)));
             if !rooted {
                 let s = shrinks[0];
-                findings.push(Finding {
-                    rule: RULE,
-                    path: decl.path.to_string(),
-                    line: field.line,
-                    snippet: ws.files[fi]
-                        .lexed
-                        .line_text(field_tok(ws, fi, field.line))
-                        .trim()
-                        .to_string(),
-                    detail: format!(
+                let s_file = &ws.files[s.file];
+                findings.push(Finding::at(
+                    RULE,
+                    file,
+                    field.tok,
+                    format!(
                         "`{}.{}` shrinks only in `{}` ({}:{}), which is not reachable from any \
                          declared GC root — the cleanup is dead unless a stability/ack/teardown \
                          path calls it; add the caller to the bounded-growth root set or wire \
                          the shrink into one",
-                        sd.name, field.name, s.in_fn, ws.files[s.file].path, s.line,
+                        sd.name,
+                        field.name,
+                        s.in_fn,
+                        s_file.path,
+                        s_file.lexed.line_of(s.tok),
                     ),
-                });
+                ));
             }
         }
     }
     findings
 }
 
-/// First token on `line` in file `fi` (for snippet extraction via
-/// `line_text`, which takes a token index).
-fn field_tok(ws: &Workspace, fi: usize, line: usize) -> usize {
-    let lexed = &ws.files[fi].lexed;
-    (0..lexed.len())
-        .find(|&i| lexed.line_of(i) == line)
-        .unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::fields::FieldTable;
-    use crate::analysis::Workspace;
 
     const PATH: &str = "crates/core/src/delivery/pcbcast/engine.rs";
 
-    fn run(src: &str, structs: &[StateStruct], roots: &[HotRoot]) -> Vec<Finding> {
-        let ws = Workspace::from_sources(vec![(PATH.into(), src.into())]);
+    fn run(src: &str, structs: &[StateStruct], roots: &[Root]) -> Vec<Finding> {
+        let ws = Workspace::from_sources(&[(PATH, src)]);
         let graph = CallGraph::build(&ws);
         let fields = FieldTable::build(&ws);
         check_with(&ws, &graph, &fields, structs, roots)
@@ -326,7 +307,7 @@ mod tests {
         path: "crates/core/src/delivery/pcbcast/engine.rs",
         name: "PcEngine",
     }];
-    const ROOTS: &[HotRoot] = &[HotRoot {
+    const ROOTS: &[Root] = &[Root {
         path: "crates/core/src/delivery/pcbcast/engine.rs",
         owner: Some("PcEngine"),
         name: "ingest",

@@ -29,55 +29,46 @@
 //! the workspace but the function is gone (renamed, moved), that is a
 //! finding too — a silently-empty root set would turn the gate off.
 
-use crate::analysis::callgraph::CallGraph;
-use crate::analysis::cfg::Cfg;
-use crate::analysis::{Finding, Workspace};
+use crate::analysis::callgraph::{root_cone, CallGraph, Root};
+use crate::analysis::{Finding, SourceFile, Workspace};
 
-/// A declared hot root: one concrete drain function.
-#[derive(Debug, Clone, Copy)]
-pub struct HotRoot {
-    /// Workspace-relative file path.
-    pub path: &'static str,
-    /// `impl` owner, if the fn is a method.
-    pub owner: Option<&'static str>,
-    /// Function name.
-    pub name: &'static str,
-}
+/// The rule id.
+pub const RULE: &str = "hotpath-alloc";
 
 /// The flood-path roots: reactor shard loop + flush/receive legs, the
 /// engines' drain paths, and the simulator's batched event loop.
-pub const HOT_ROOTS: &[HotRoot] = &[
-    HotRoot {
+pub const HOT_ROOTS: &[Root] = &[
+    Root {
         path: "crates/net/src/reactor.rs",
         owner: Some("Shard"),
         name: "run",
     },
-    HotRoot {
+    Root {
         path: "crates/net/src/reactor.rs",
         owner: Some("Shard"),
         name: "flush_conn",
     },
-    HotRoot {
+    Root {
         path: "crates/net/src/reactor.rs",
         owner: None,
         name: "pump_inbound",
     },
-    HotRoot {
+    Root {
         path: "crates/core/src/delivery/vector_engine.rs",
         owner: Some("CbcastEngine"),
         name: "on_receive_into",
     },
-    HotRoot {
+    Root {
         path: "crates/core/src/delivery/graph_engine.rs",
         owner: Some("GraphDelivery"),
         name: "on_receive_into",
     },
-    HotRoot {
+    Root {
         path: "crates/core/src/delivery/pcbcast/engine.rs",
         owner: Some("PcEngine"),
         name: "ingest",
     },
-    HotRoot {
+    Root {
         path: "crates/simnet/src/sim.rs",
         owner: Some("Simulation"),
         name: "run_events",
@@ -100,106 +91,27 @@ const CTOR_OWNERS: &[&str] = &[
     "Rc",
 ];
 
-/// Resolves the declared roots against the workspace. Returns the root
-/// function ids plus a finding per root whose file exists but whose
-/// function does not (fixture workspaces without the file skip the root
-/// silently).
-pub fn resolve_roots(
-    ws: &Workspace,
-    graph: &CallGraph,
-    roots: &[HotRoot],
-    rule: &'static str,
-) -> (Vec<usize>, Vec<Finding>) {
-    let mut ids = Vec::new();
-    let mut findings = Vec::new();
-    for root in roots {
-        let Some(_) = ws.file(root.path) else {
-            continue;
-        };
-        let found: Vec<usize> = graph
-            .named(root.name)
-            .iter()
-            .copied()
-            .filter(|&id| {
-                let fr = graph.fns[id];
-                let file = &ws.files[fr.file];
-                file.path == root.path && file.items.funcs[fr.func].owner.as_deref() == root.owner
-            })
-            .collect();
-        if found.is_empty() {
-            findings.push(Finding {
-                rule,
-                path: root.path.to_string(),
-                line: 1,
-                snippet: format!("missing hot root `{}`", root.qualified()),
-                detail: format!(
-                    "declared root `{}` not found in this file — the function was \
-                     renamed or moved; update the `{rule}` root set in \
-                     crates/xtask/src/analysis/ so the gate keeps covering its cone",
-                    root.qualified()
-                ),
-            });
-        }
-        ids.extend(found);
-    }
-    (ids, findings)
-}
-
-impl HotRoot {
-    fn qualified(&self) -> String {
-        match self.owner {
-            Some(o) => format!("{o}::{}", self.name),
-            None => self.name.to_string(),
-        }
-    }
-}
-
 /// Runs the pass over the workspace.
 pub fn check(ws: &Workspace, graph: &CallGraph) -> Vec<Finding> {
     check_with_roots(ws, graph, HOT_ROOTS)
 }
 
 /// Runs the pass with an explicit root set (unit tests inject theirs).
-pub fn check_with_roots(ws: &Workspace, graph: &CallGraph, roots: &[HotRoot]) -> Vec<Finding> {
-    let (root_ids, mut findings) = resolve_roots(ws, graph, roots, "hotpath-alloc");
-    let hot = graph.reachable(root_ids);
-    for &id in &hot {
-        let fr = graph.fns[id];
-        let file = &ws.files[fr.file];
-        let f = &file.items.funcs[fr.func];
-        let Some((open, close)) = f.body else {
-            continue;
-        };
-        let qname = match &f.owner {
-            Some(o) => format!("{o}::{}", f.name),
-            None => f.name.clone(),
-        };
-        let cfg = Cfg::build(&file.lexed, open, close);
-        findings.extend(cfg.reachable_facts(|stmt| {
-            let mut out = Vec::new();
-            for i in cfg.own_tokens(stmt) {
-                if let Some(pat) = alloc_at(file, i) {
-                    out.push(Finding {
-                        rule: "hotpath-alloc",
-                        path: file.path.clone(),
-                        line: file.lexed.line_of(i),
-                        snippet: file.lexed.line_text(i).trim().to_string(),
-                        detail: format!(
-                            "allocation `{pat}` in `{qname}` is reachable from the declared \
-                             hot roots; hoist it off the flood path (scratch buffer, \
-                             `*_into` variant) or add a reasoned baseline entry"
-                        ),
-                    });
-                }
-            }
-            out
-        }));
-    }
+pub fn check_with_roots(ws: &Workspace, graph: &CallGraph, roots: &[Root]) -> Vec<Finding> {
+    let (hot, mut findings) = root_cone(ws, graph, roots, RULE);
+    findings.extend(graph.scan_cone(ws, &hot, RULE, |file, i, qname| {
+        let pat = alloc_at(file, i)?;
+        Some(format!(
+            "allocation `{pat}` in `{qname}` is reachable from the declared \
+             hot roots; hoist it off the flood path (scratch buffer, \
+             `*_into` variant) or add a reasoned baseline entry"
+        ))
+    }));
     findings
 }
 
 /// If token `i` heads a heap-allocating expression, the pattern name.
-fn alloc_at(file: &crate::analysis::SourceFile, i: usize) -> Option<String> {
+fn alloc_at(file: &SourceFile, i: usize) -> Option<String> {
     let lexed = &file.lexed;
     if lexed.kind_at(i) != Some(crate::analysis::lexer::TokKind::Ident) {
         return None;
@@ -241,19 +153,8 @@ fn alloc_at(file: &crate::analysis::SourceFile, i: usize) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::callgraph::CallGraph;
-    use crate::analysis::Workspace;
 
-    fn ws(files: &[(&str, &str)]) -> Workspace {
-        Workspace::from_sources(
-            files
-                .iter()
-                .map(|(p, s)| (p.to_string(), s.to_string()))
-                .collect(),
-        )
-    }
-
-    const ROOT: &[HotRoot] = &[HotRoot {
+    const ROOT: &[Root] = &[Root {
         path: "crates/net/src/reactor.rs",
         owner: Some("Shard"),
         name: "run",
@@ -261,7 +162,7 @@ mod tests {
 
     #[test]
     fn alloc_in_root_and_callee_is_flagged() {
-        let w = ws(&[(
+        let w = Workspace::from_sources(&[(
             "crates/net/src/reactor.rs",
             "impl Shard { fn run(&mut self) { let v = Vec::with_capacity(8); self.step(); } \
                           fn step(&mut self) { let s = x.to_vec(); } }",
@@ -277,7 +178,7 @@ mod tests {
 
     #[test]
     fn alloc_outside_the_cone_is_ignored() {
-        let w = ws(&[(
+        let w = Workspace::from_sources(&[(
             "crates/net/src/reactor.rs",
             "impl Shard { fn run(&mut self) {} } \
              fn cold_setup() { let v = vec![0u8; 64]; }",
@@ -288,7 +189,7 @@ mod tests {
 
     #[test]
     fn alloc_after_early_return_is_unreachable() {
-        let w = ws(&[(
+        let w = Workspace::from_sources(&[(
             "crates/net/src/reactor.rs",
             "impl Shard { fn run(&mut self) { return; let v = Vec::new(); } }",
         )]);
@@ -298,7 +199,7 @@ mod tests {
 
     #[test]
     fn arc_clone_is_not_an_allocation() {
-        let w = ws(&[(
+        let w = Workspace::from_sources(&[(
             "crates/net/src/reactor.rs",
             "impl Shard { fn run(&mut self) { let a = Arc::clone(&self.body); } }",
         )]);
@@ -308,7 +209,7 @@ mod tests {
 
     #[test]
     fn missing_root_in_present_file_is_a_finding() {
-        let w = ws(&[(
+        let w = Workspace::from_sources(&[(
             "crates/net/src/reactor.rs",
             "impl Shard { fn renamed() {} }",
         )]);
@@ -320,7 +221,7 @@ mod tests {
 
     #[test]
     fn absent_file_skips_the_root() {
-        let w = ws(&[("crates/other/src/lib.rs", "fn x() {}")]);
+        let w = Workspace::from_sources(&[("crates/other/src/lib.rs", "fn x() {}")]);
         let g = CallGraph::build(&w);
         assert!(check_with_roots(&w, &g, ROOT).is_empty());
     }

@@ -17,7 +17,10 @@
 //! for the shapes rustfmt produces (and the fixtures pin it).
 
 use crate::analysis::lexer::TokKind;
-use crate::analysis::{parser, Finding, Workspace};
+use crate::analysis::{parser, Finding, SourceFile, Workspace};
+
+/// The rule id.
+pub const RULE: &str = "layering";
 
 /// One row of the declared layering matrix.
 #[derive(Debug, Clone, Copy)]
@@ -106,7 +109,7 @@ pub enum Role {
 
 /// Classifies the variant occurrence whose type name starts at token
 /// `ty`, with the variant ident at token `var`.
-fn classify(file: &crate::analysis::SourceFile, ty: usize, var: usize) -> Role {
+fn classify(file: &SourceFile, ty: usize, var: usize) -> Role {
     let lexed = &file.lexed;
     // Skip the payload group, if any.
     let mut j = var + 1;
@@ -151,28 +154,21 @@ pub fn check(ws: &Workspace) -> Vec<Finding> {
     let mut findings = Vec::new();
     for file in &ws.files {
         let lexed = &file.lexed;
-        for i in 0..lexed.len() {
-            if lexed.kind_at(i) != Some(TokKind::Ident) || file.items.in_test(i) {
-                continue;
-            }
+        for i in file.prod_idents() {
             let name = lexed.text(i);
             // Transport containment.
             if name == "Transport" && !TRANSPORT_ALLOWED.iter().any(|p| file.path.starts_with(p)) {
-                findings.push(Finding {
-                    rule: "layering",
-                    path: file.path.clone(),
-                    line: lexed.line_of(i),
-                    snippet: lexed.line_text(i).to_string(),
-                    detail: "`Transport` is runtime plumbing; production code sends through \
-                             the protocol stack, not a transport handle"
+                findings.push(Finding::at(
+                    RULE,
+                    file,
+                    i,
+                    "`Transport` is runtime plumbing; production code sends through \
+                     the protocol stack, not a transport handle"
                         .to_string(),
-                });
+                ));
                 continue;
             }
             // Enum variant occurrences: `Name :: Variant`.
-            let Some(rule) = MATRIX.iter().find(|r| r.enum_name == name) else {
-                continue;
-            };
             if !lexed.is_path_sep(i + 1) || lexed.kind_at(i + 3) != Some(TokKind::Ident) {
                 continue;
             }
@@ -181,7 +177,6 @@ pub fn check(ws: &Workspace) -> Vec<Finding> {
                 .iter()
                 .find(|r| r.enum_name == name && r.variants.contains(&variant))
             else {
-                let _ = rule;
                 continue;
             };
             let role = classify(file, i, i + 3);
@@ -194,18 +189,17 @@ pub fn check(ws: &Workspace) -> Vec<Finding> {
                     Role::Construct => "construct",
                     Role::Consume => "consume",
                 };
-                findings.push(Finding {
-                    rule: "layering",
-                    path: file.path.clone(),
-                    line: lexed.line_of(i),
-                    snippet: lexed.line_text(i).to_string(),
-                    detail: format!(
+                findings.push(Finding::at(
+                    RULE,
+                    file,
+                    i,
+                    format!(
                         "{}::{} may only be {verb}ed by [{}] per the declared layering matrix",
                         name,
                         variant,
                         allowed.join(", ")
                     ),
-                });
+                ));
             }
         }
     }
@@ -215,10 +209,9 @@ pub fn check(ws: &Workspace) -> Vec<Finding> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::Workspace;
 
     fn findings(path: &str, src: &str) -> Vec<Finding> {
-        let ws = Workspace::from_sources(vec![(path.to_string(), src.to_string())]);
+        let ws = Workspace::from_sources(&[(path, src)]);
         check(&ws)
     }
 

@@ -31,8 +31,11 @@
 
 use crate::analysis::callgraph::CallGraph;
 use crate::analysis::lexer::TokKind;
-use crate::analysis::{parser, Finding, Workspace};
+use crate::analysis::{parser, Finding, SourceFile, Workspace};
 use std::collections::{BTreeMap, BTreeSet};
+
+/// The rule id.
+pub const RULE: &str = "lock-order";
 
 /// One lock acquisition site.
 #[derive(Debug, Clone)]
@@ -43,8 +46,6 @@ pub struct Acquisition {
     pub tok: usize,
     /// Lock class: the receiver's field/binding name (e.g. `inbox_tx`).
     pub class: String,
-    /// Crate the site sits in, for reporting.
-    pub crate_name: String,
 }
 
 /// One ordered edge in the lock-order graph, with its witness site.
@@ -147,9 +148,8 @@ pub fn lock_graph(ws: &Workspace, graph: &CallGraph) -> LockGraph {
     // Pass 1: direct acquisition sites per function.
     let mut sites: Vec<Acquisition> = Vec::new();
     let mut direct: Vec<Vec<usize>> = vec![Vec::new(); graph.fns.len()]; // site indices
-    for (id, fr) in graph.fns.iter().enumerate() {
-        let file = &ws.files[fr.file];
-        let f = &file.items.funcs[fr.func];
+    for (id, own) in direct.iter_mut().enumerate() {
+        let (file, f) = graph.func(ws, id);
         let Some((open, close)) = f.body else {
             continue;
         };
@@ -170,51 +170,35 @@ pub fn lock_graph(ws: &Workspace, graph: &CallGraph) -> LockGraph {
             let Some(class) = receiver_name(file, i) else {
                 continue;
             };
-            direct[id].push(sites.len());
+            own.push(sites.len());
             sites.push(Acquisition {
                 func: id,
                 tok: i,
                 class,
-                crate_name: file.crate_name.clone(),
             });
         }
     }
 
-    // Pass 2: transitive lock footprint per function (fixpoint).
-    let mut footprint: Vec<BTreeSet<String>> = (0..graph.fns.len())
-        .map(|id| direct[id].iter().map(|&s| sites[s].class.clone()).collect())
-        .collect();
-    loop {
-        let mut changed = false;
-        for id in 0..graph.fns.len() {
-            for call in &graph.calls[id] {
-                let add: Vec<String> = footprint[call.callee]
-                    .iter()
-                    .filter(|c| !footprint[id].contains(*c))
-                    .cloned()
-                    .collect();
-                if !add.is_empty() {
-                    footprint[id].extend(add);
-                    changed = true;
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
+    // Transitive lock footprint of a callee: the classes acquired
+    // anywhere in its cone.
+    let footprint = |callee: usize| -> BTreeSet<&str> {
+        graph
+            .cone([callee])
+            .keys()
+            .flat_map(|&id| direct[id].iter().map(|&s| sites[s].class.as_str()))
+            .collect()
+    };
 
-    // Pass 3: edges out of every hold region.
+    // Pass 2: edges out of every hold region.
     let mut edges: Vec<Edge> = Vec::new();
     let mut seen: BTreeSet<(String, String)> = BTreeSet::new();
-    for (id, fr) in graph.fns.iter().enumerate() {
-        let file = &ws.files[fr.file];
-        let f = &file.items.funcs[fr.func];
-        for &si in &direct[id] {
+    for (id, own) in direct.iter().enumerate() {
+        let (file, f) = graph.func(ws, id);
+        for &si in own {
             let a = &sites[si];
             let hold_end = hold_region_end(file, a.tok);
             // Inner direct acquisitions.
-            for &sj in &direct[id] {
+            for &sj in own {
                 let b = &sites[sj];
                 if b.tok > a.tok
                     && b.tok <= hold_end
@@ -235,15 +219,12 @@ pub fn lock_graph(ws: &Workspace, graph: &CallGraph) -> LockGraph {
                 if call.tok <= a.tok || call.tok > hold_end {
                     continue;
                 }
-                let callee_fr = graph.fns[call.callee];
-                let callee_name = ws.files[callee_fr.file].items.funcs[callee_fr.func]
-                    .name
-                    .clone();
-                for class in &footprint[call.callee] {
-                    if seen.insert((a.class.clone(), class.clone())) {
+                let callee_name = &graph.func(ws, call.callee).1.name;
+                for class in footprint(call.callee) {
+                    if seen.insert((a.class.clone(), class.to_string())) {
                         edges.push(Edge {
                             from: a.class.clone(),
-                            to: class.clone(),
+                            to: class.to_string(),
                             path: file.path.clone(),
                             line: file.lexed.line_of(call.tok),
                             in_fn: f.name.clone(),
@@ -261,7 +242,7 @@ pub fn lock_graph(ws: &Workspace, graph: &CallGraph) -> LockGraph {
 /// Last token of the region over which the guard acquired at `tok` is
 /// held, per Rust's temporary-lifetime rules (also used by the
 /// `reactor-blocking` pass to ask what runs under the lock).
-pub fn hold_region_end(file: &crate::analysis::SourceFile, tok: usize) -> usize {
+pub fn hold_region_end(file: &SourceFile, tok: usize) -> usize {
     let start = parser::statement_start(&file.lexed, tok);
     match file.lexed.text_at(start) {
         // A `let` may bind the guard itself; conservatively hold it to
@@ -274,7 +255,7 @@ pub fn hold_region_end(file: &crate::analysis::SourceFile, tok: usize) -> usize 
 /// The lock's name: the identifier just left of the `.` at `dot`
 /// (`self.inbox_tx.lock()` → `inbox_tx`), or the function name for a
 /// call-result receiver (`stats().lock()` → `stats`).
-fn receiver_name(file: &crate::analysis::SourceFile, dot: usize) -> Option<String> {
+fn receiver_name(file: &SourceFile, dot: usize) -> Option<String> {
     if dot == 0 {
         return None;
     }
@@ -282,25 +263,8 @@ fn receiver_name(file: &crate::analysis::SourceFile, dot: usize) -> Option<Strin
     match file.lexed.kind_at(prev) {
         Some(TokKind::Ident) => Some(file.lexed.text(prev).to_string()),
         _ if matches!(file.lexed.text(prev), ")" | "]") => {
-            // Walk back over the group to the name before it.
-            let mut depth = 0isize;
-            let mut j = prev;
-            loop {
-                match file.lexed.text(j) {
-                    ")" | "]" | "}" => depth += 1,
-                    "(" | "[" | "{" => {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-                if j == 0 {
-                    return None;
-                }
-                j -= 1;
-            }
+            // The name before the group.
+            let j = parser::matching_open(&file.lexed, prev);
             (j > 0 && file.lexed.kind_at(j - 1) == Some(TokKind::Ident))
                 .then(|| file.lexed.text(j - 1).to_string())
         }
@@ -309,8 +273,7 @@ fn receiver_name(file: &crate::analysis::SourceFile, dot: usize) -> Option<Strin
 }
 
 /// Gate entry point: one `lock-order` finding per cycle.
-pub fn check(ws: &Workspace, graph: &CallGraph) -> Vec<Finding> {
-    let g = lock_graph(ws, graph);
+pub fn check(g: &LockGraph) -> Vec<Finding> {
     g.cycles()
         .into_iter()
         .map(|cyc| {
@@ -337,7 +300,7 @@ pub fn check(ws: &Workspace, graph: &CallGraph) -> Vec<Finding> {
                 .map(|e| (e.path.clone(), e.line))
                 .unwrap_or_else(|| ("<unknown>".to_string(), 0));
             Finding {
-                rule: "lock-order",
+                rule: RULE,
                 path,
                 line,
                 snippet,
@@ -353,16 +316,9 @@ pub fn check(ws: &Workspace, graph: &CallGraph) -> Vec<Finding> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::callgraph::CallGraph;
-    use crate::analysis::Workspace;
 
     fn graph_of(files: &[(&str, &str)]) -> (Workspace, LockGraph) {
-        let ws = Workspace::from_sources(
-            files
-                .iter()
-                .map(|(p, s)| (p.to_string(), s.to_string()))
-                .collect(),
-        );
+        let ws = Workspace::from_sources(files);
         let cg = CallGraph::build(&ws);
         let g = lock_graph(&ws, &cg);
         (ws, g)
@@ -461,14 +417,13 @@ mod tests {
 
     #[test]
     fn check_reports_cycles_as_findings() {
-        let ws = Workspace::from_sources(vec![(
-            "crates/net/src/a.rs".to_string(),
+        let ws = Workspace::from_sources(&[(
+            "crates/net/src/a.rs",
             "fn one(a: &M, b: &M) { a.lock().unwrap().push(b.lock().unwrap().pop()); }
-             fn two(a: &M, b: &M) { b.lock().unwrap().push(a.lock().unwrap().pop()); }"
-                .to_string(),
+             fn two(a: &M, b: &M) { b.lock().unwrap().push(a.lock().unwrap().pop()); }",
         )]);
         let cg = CallGraph::build(&ws);
-        let f = check(&ws, &cg);
+        let f = check(&lock_graph(&ws, &cg));
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, "lock-order");
         assert!(f[0].snippet.contains("a -> b -> a"), "{}", f[0].snippet);

@@ -25,6 +25,10 @@
 //! table with container/atomic classification and per-field operation
 //! sites.
 //!
+//! [`RULES`] is the one list of rules: [`run`] executes their passes in
+//! table order over a [`Context`] that builds the call graph, the field
+//! table, the lock graph and the unsafe audit once per run.
+//!
 //! Vetted exceptions live in the committed `lint-allow.toml` baseline
 //! ([`allow`]); stale entries fail the gate so the baseline cannot rot.
 //! Output formats (human, `--json`, `--github` annotations) are in
@@ -48,10 +52,17 @@ pub mod unsafeffi;
 pub mod wirepanic;
 pub mod wiresym;
 
-use lexer::Lexed;
+use allow::AllowList;
+use callgraph::CallGraph;
+use fields::FieldTable;
+use lexer::{Lexed, TokKind};
+use locks::LockGraph;
 use parser::FileItems;
+use std::cell::OnceCell;
 use std::fmt;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
+use unsafeffi::InventoryEntry;
 
 /// One analysis finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,6 +77,20 @@ pub struct Finding {
     pub snippet: String,
     /// Human explanation: what is wrong and why it matters.
     pub detail: String,
+}
+
+impl Finding {
+    /// A finding at token `tok` of `file`: the token's line, with that
+    /// source line as the snippet.
+    pub fn at(rule: &'static str, file: &SourceFile, tok: usize, detail: String) -> Finding {
+        Finding {
+            rule,
+            path: file.path.clone(),
+            line: file.lexed.line_of(tok),
+            snippet: file.lexed.line_text(tok).to_string(),
+            detail,
+        }
+    }
 }
 
 impl fmt::Display for Finding {
@@ -92,6 +117,16 @@ pub struct SourceFile {
     pub items: FileItems,
 }
 
+impl SourceFile {
+    /// Indices of the identifier tokens outside `#[cfg(test)]` spans,
+    /// in source order — the production code the token-scanning rules
+    /// inspect.
+    pub fn prod_idents(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.lexed.len())
+            .filter(|&i| self.lexed.kind_at(i) == Some(TokKind::Ident) && !self.items.in_test(i))
+    }
+}
+
 /// The parsed workspace: every `.rs` under `crates/*/src/` and `src/`.
 #[derive(Debug)]
 pub struct Workspace {
@@ -106,19 +141,29 @@ fn crate_of(path: &str) -> String {
     }
 }
 
+/// The root of the workspace this crate is built in.
+pub fn workspace_root() -> PathBuf {
+    // crates/xtask -> crates -> workspace root.
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("xtask lives two levels under the workspace root")
+        .to_path_buf()
+}
+
 impl Workspace {
-    /// Builds a workspace from in-memory sources — the fixture tests
-    /// seed known-bad snippets through this without touching the
-    /// filesystem.
-    pub fn from_sources(sources: Vec<(String, String)>) -> Self {
+    /// Builds a workspace from in-memory `(path, source)` pairs — the
+    /// fixture tests seed known-bad snippets through this without
+    /// touching the filesystem.
+    pub fn from_sources(sources: &[(impl AsRef<str>, impl AsRef<str>)]) -> Self {
         let mut files: Vec<SourceFile> = sources
-            .into_iter()
+            .iter()
             .map(|(path, src)| {
-                let lexed = Lexed::new(src);
+                let (path, lexed) = (path.as_ref(), Lexed::new(src.as_ref()));
                 let items = parser::parse(&lexed);
                 SourceFile {
-                    crate_name: crate_of(&path),
-                    path,
+                    crate_name: crate_of(path),
+                    path: path.to_string(),
                     lexed,
                     items,
                 }
@@ -161,7 +206,7 @@ impl Workspace {
                 std::fs::read_to_string(&p).map(|s| (rel, s))
             })
             .collect::<std::io::Result<Vec<_>>>()?;
-        Ok(Workspace::from_sources(rel_sources))
+        Ok(Workspace::from_sources(&rel_sources))
     }
 
     /// The parsed file at `path`, if present.
@@ -170,7 +215,7 @@ impl Workspace {
     }
 }
 
-fn collect_rs(dir: &Path, out: &mut Vec<std::path::PathBuf>) -> std::io::Result<()> {
+fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
         let path = entry.path();
@@ -188,157 +233,175 @@ fn collect_rs(dir: &Path, out: &mut Vec<std::path::PathBuf>) -> std::io::Result<
     Ok(())
 }
 
-/// The documented finding order: (rule, path, line) — stable across
-/// runs and machines so downstream tooling can diff outputs.
-pub fn sort_findings(findings: &mut [Finding]) {
-    findings
-        .sort_by(|a, b| (a.rule, a.path.as_str(), a.line).cmp(&(b.rule, b.path.as_str(), b.line)));
+/// The shared structures of one run, built once and borrowed by every
+/// pass.
+pub struct Context<'w> {
+    /// The parsed workspace.
+    pub ws: &'w Workspace,
+    /// The workspace call graph.
+    pub graph: CallGraph,
+    /// The struct-field table with per-field operation sites.
+    pub fields: FieldTable,
+    /// The lock-order graph (`lock-order`, `reactor-blocking`).
+    pub locks: LockGraph,
+    /// The `unsafe` audit, built on first use so its cost lands in the
+    /// `unsafe-ffi` timing row.
+    unsafe_audit: OnceCell<(Vec<Finding>, Vec<InventoryEntry>)>,
 }
 
-/// One entry in the machine-readable rule inventory behind
+impl Context<'_> {
+    /// The `unsafe` audit: containment and per-block findings plus the
+    /// inventory emitted under `--json`.
+    pub fn unsafe_audit(&self) -> &(Vec<Finding>, Vec<InventoryEntry>) {
+        self.unsafe_audit.get_or_init(|| unsafeffi::audit(self.ws))
+    }
+}
+
+/// One entry in the rule table: the machine-readable inventory behind
 /// `cargo xtask lint --list-rules` (CI consumes this instead of a
-/// hand-maintained list that silently drifts).
+/// hand-maintained list that silently drifts) and the pass that
+/// produces the rule's findings.
 #[derive(Debug, Clone, Copy)]
 pub struct RuleInfo {
     /// The rule id as it appears on findings.
     pub id: &'static str,
     /// One-line summary of what the rule proves.
     pub summary: &'static str,
+    /// The pass; `None` for `stale-allow`, which the baseline emits.
+    pub pass: Option<fn(&Context<'_>) -> Vec<Finding>>,
 }
 
 /// Every rule the analyzer runs, in the order the passes execute, plus
 /// the baseline-hygiene pseudo-rule `stale-allow` last.
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
-        id: "determinism",
+        id: rules::RULE,
         summary: "sans-IO protocol crates take no wall-clock or entropy",
+        pass: Some(|cx| rules::determinism(cx.ws)),
     },
     RuleInfo {
-        id: "layering",
+        id: layering::RULE,
         summary: "wire/command variants cross only their declared layer boundaries",
+        pass: Some(|cx| layering::check(cx.ws)),
     },
     RuleInfo {
-        id: "wire-panic",
+        id: wirepanic::RULE,
         summary: "no panic site reachable from a decode entry point fed attacker bytes",
+        pass: Some(|cx| wirepanic::audit(cx.ws, &cx.graph)),
     },
     RuleInfo {
-        id: "lock-order",
+        id: locks::RULE,
         summary: "the cross-crate Mutex acquisition-order graph is acyclic",
+        pass: Some(|cx| locks::check(&cx.locks)),
     },
     RuleInfo {
-        id: "hotpath-alloc",
+        id: hotpath::RULE,
         summary: "no heap allocation reachable from the declared flood-path roots",
+        pass: Some(|cx| hotpath::check(cx.ws, &cx.graph)),
     },
     RuleInfo {
-        id: "reactor-blocking",
+        id: blocking::RULE,
         summary: "no blocking call or lock-across-syscall on a shard thread",
+        pass: Some(|cx| blocking::check(cx.ws, &cx.graph, &cx.locks)),
     },
     RuleInfo {
-        id: "unsafe-ffi",
+        id: unsafeffi::RULE,
         summary: "every unsafe block is a single audited FFI call in net/src/sys.rs",
+        pass: Some(|cx| cx.unsafe_audit().0.clone()),
     },
     RuleInfo {
-        id: "bounded-growth",
+        id: growth::RULE,
         summary: "long-lived protocol state shrinks on a reachable stability/GC/teardown path",
+        pass: Some(|cx| growth::check(cx.ws, &cx.graph, &cx.fields)),
     },
     RuleInfo {
-        id: "atomic-ordering",
+        id: atomics::RULE,
         summary: "Relaxed only on pure counters; guard atomics use sound Acquire/Release pairs",
+        pass: Some(|cx| atomics::check(cx.ws, &cx.fields)),
     },
     RuleInfo {
-        id: "wire-symmetry",
+        id: wiresym::RULE,
         summary: "codec tag maps agree between encode and decode, with matching field orders",
+        pass: Some(|cx| wiresym::check(cx.ws)),
     },
     RuleInfo {
-        id: "stale-allow",
+        id: allow::RULE,
         summary: "baseline hygiene: lint-allow.toml entries that match nothing fail the gate",
+        pass: None,
     },
 ];
 
-/// One per-pass wall-clock measurement from [`analyze_raw_timed`].
+/// One wall-clock measurement: a pass, or a shared structure of the
+/// [`Context`].
 #[derive(Debug, Clone, Copy)]
 pub struct PassTiming {
     /// Pass (or shared-infrastructure) name.
     pub name: &'static str,
     /// Elapsed wall-clock.
-    pub elapsed: std::time::Duration,
+    pub elapsed: Duration,
 }
 
-/// Runs every analysis with no baseline applied, recording per-pass
-/// wall-clock (shared infrastructure — the call graph and the field
-/// table — gets its own rows so a slow pass is attributed, not
-/// averaged away). Findings are sorted by (rule, path, line).
-pub fn analyze_raw_timed(ws: &Workspace) -> (Vec<Finding>, Vec<PassTiming>) {
+fn timed<T>(timings: &mut Vec<PassTiming>, name: &'static str, f: impl FnOnce() -> T) -> T {
+    let start = Instant::now();
+    let out = f();
+    timings.push(PassTiming {
+        name,
+        elapsed: start.elapsed(),
+    });
+    out
+}
+
+/// Everything one run produces.
+#[derive(Debug)]
+pub struct Analysis {
+    /// Findings left after the baseline, sorted by (rule, path, line).
+    pub findings: Vec<Finding>,
+    /// The audited `unsafe` blocks, emitted under `--json`.
+    pub inventory: Vec<InventoryEntry>,
+    /// Per-pass wall-clock — shared infrastructure (the call graph,
+    /// the field table, the lock graph) gets its own rows so a slow
+    /// pass is attributed, not averaged away.
+    pub timings: Vec<PassTiming>,
+}
+
+/// Runs every pass in [`RULES`] order and applies the baseline:
+/// findings matched by an allow entry are suppressed; allow entries
+/// that matched nothing become `stale-allow` findings so the baseline
+/// cannot outlive its reasons.
+pub fn run(ws: &Workspace, allow_list: &AllowList) -> Analysis {
     let mut timings = Vec::new();
-    let timed =
-        |name: &'static str, timings: &mut Vec<PassTiming>, f: &mut dyn FnMut() -> Vec<Finding>| {
-            let start = std::time::Instant::now();
-            let out = f();
-            timings.push(PassTiming {
-                name,
-                elapsed: start.elapsed(),
-            });
-            out
-        };
-    let start = std::time::Instant::now();
-    let graph = callgraph::CallGraph::build(ws);
-    timings.push(PassTiming {
-        name: "callgraph",
-        elapsed: start.elapsed(),
-    });
-    let start = std::time::Instant::now();
-    let fields = fields::FieldTable::build(ws);
-    timings.push(PassTiming {
-        name: "fields",
-        elapsed: start.elapsed(),
-    });
-    let mut findings = Vec::new();
-    findings.extend(timed("determinism", &mut timings, &mut || {
-        rules::determinism(ws)
-    }));
-    findings.extend(timed("layering", &mut timings, &mut || layering::check(ws)));
-    findings.extend(timed("wire-panic", &mut timings, &mut || {
-        wirepanic::audit(ws, &graph)
-    }));
-    findings.extend(timed("lock-order", &mut timings, &mut || {
-        locks::check(ws, &graph)
-    }));
-    findings.extend(timed("hotpath-alloc", &mut timings, &mut || {
-        hotpath::check(ws, &graph)
-    }));
-    findings.extend(timed("reactor-blocking", &mut timings, &mut || {
-        blocking::check(ws, &graph)
-    }));
-    findings.extend(timed("unsafe-ffi", &mut timings, &mut || {
-        unsafeffi::check(ws)
-    }));
-    findings.extend(timed("bounded-growth", &mut timings, &mut || {
-        growth::check(ws, &graph, &fields)
-    }));
-    findings.extend(timed("atomic-ordering", &mut timings, &mut || {
-        atomics::check(ws, &fields)
-    }));
-    findings.extend(timed("wire-symmetry", &mut timings, &mut || {
-        wiresym::check(ws)
-    }));
-    sort_findings(&mut findings);
-    (findings, timings)
+    let graph = timed(&mut timings, "callgraph", || CallGraph::build(ws));
+    let cx = Context {
+        ws,
+        fields: timed(&mut timings, "fields", || FieldTable::build(ws)),
+        locks: timed(&mut timings, "locks", || locks::lock_graph(ws, &graph)),
+        graph,
+        unsafe_audit: OnceCell::new(),
+    };
+    let mut raw = Vec::new();
+    for rule in RULES {
+        if let Some(pass) = rule.pass {
+            raw.extend(timed(&mut timings, rule.id, || pass(&cx)));
+        }
+    }
+    let mut findings = allow_list.apply(raw);
+    // The documented order, (rule, path, line): stable across runs and
+    // machines so downstream tooling can diff outputs.
+    findings.sort_by(|a, b| (a.rule, &a.path, a.line).cmp(&(b.rule, &b.path, b.line)));
+    Analysis {
+        findings,
+        inventory: cx.unsafe_audit().1.clone(),
+        timings,
+    }
+}
+
+/// [`run`]'s findings.
+pub fn analyze(ws: &Workspace, allow_list: &AllowList) -> Vec<Finding> {
+    run(ws, allow_list).findings
 }
 
 /// Runs every analysis with no baseline applied. Findings are sorted by
 /// (rule, path, line).
 pub fn analyze_raw(ws: &Workspace) -> Vec<Finding> {
-    analyze_raw_timed(ws).0
-}
-
-/// Runs every analysis and applies the baseline: findings matched by an
-/// allow entry are suppressed; allow entries that matched nothing become
-/// `stale-allow` findings so the baseline cannot outlive its reasons.
-/// The result is re-sorted so appended `stale-allow` findings keep the
-/// output in the documented (rule, path, line) order.
-pub fn analyze(ws: &Workspace, allow_list: &allow::AllowList) -> Vec<Finding> {
-    let raw = analyze_raw(ws);
-    let mut out = allow_list.apply(raw);
-    sort_findings(&mut out);
-    out
+    analyze(ws, &AllowList::empty())
 }

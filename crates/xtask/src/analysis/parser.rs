@@ -39,6 +39,16 @@ pub struct Func {
     pub is_test: bool,
 }
 
+impl Func {
+    /// `Owner::name` for a method, `name` for a free function.
+    pub fn qualified_name(&self) -> String {
+        match &self.owner {
+            Some(o) => format!("{o}::{}", self.name),
+            None => self.name.clone(),
+        }
+    }
+}
+
 /// Parse results for one file.
 #[derive(Debug, Clone)]
 pub struct FileItems {
@@ -83,6 +93,30 @@ pub fn matching_close(lexed: &Lexed, open: usize) -> usize {
         i += 1;
     }
     lexed.len().saturating_sub(1)
+}
+
+/// Finds the matching opener for the closer at `close` (`)`/`]`/`}`),
+/// counting all three bracket kinds together. Returns the index of the
+/// opening token, or 0 if unbalanced.
+pub fn matching_open(lexed: &Lexed, close: usize) -> usize {
+    let mut depth = 0isize;
+    let mut i = close;
+    loop {
+        match lexed.text(i) {
+            ")" | "]" | "}" => depth += 1,
+            "(" | "[" | "{" => {
+                depth -= 1;
+                if depth == 0 {
+                    return i;
+                }
+            }
+            _ => {}
+        }
+        if i == 0 {
+            return 0;
+        }
+        i -= 1;
+    }
 }
 
 fn is_opener(t: &str) -> bool {
@@ -149,7 +183,7 @@ fn find_test_ranges(lexed: &Lexed) -> Vec<(usize, usize)> {
 
 /// Skips a generics list starting at `<`, tolerating `->` arrows inside
 /// `Fn(...) -> T` bounds. Returns the index just past the closing `>`.
-fn skip_generics(lexed: &Lexed, at: usize) -> usize {
+pub fn skip_generics(lexed: &Lexed, at: usize) -> usize {
     debug_assert_eq!(lexed.text_at(at), "<");
     let mut depth = 0isize;
     let mut i = at;

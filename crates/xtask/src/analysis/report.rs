@@ -26,17 +26,12 @@ pub enum Format {
 
 /// Renders the findings in the chosen format. The returned string is
 /// complete output including the trailing newline (empty findings render
-/// an empty-but-valid document in every format).
-pub fn render(findings: &[Finding], format: Format) -> String {
-    render_full(findings, &[], format)
-}
-
-/// Like [`render`], with the unsafe-FFI inventory included: the JSON
-/// document gains an `unsafe_ffi_inventory` array (the schema is
-/// specified in `docs/lint-json-schema.md`); human and GitHub output
-/// are unchanged — the inventory is machine-diff material, not
-/// annotation material.
-pub fn render_full(findings: &[Finding], inventory: &[InventoryEntry], format: Format) -> String {
+/// an empty-but-valid document in every format). The JSON document also
+/// carries the unsafe-FFI inventory as its `unsafe_ffi_inventory` array
+/// (the schema is specified in `docs/lint-json-schema.md`); human and
+/// GitHub output leave it out — the inventory is machine-diff material,
+/// not annotation material.
+pub fn render(findings: &[Finding], inventory: &[InventoryEntry], format: Format) -> String {
     match format {
         Format::Human => human(findings),
         Format::Json => json(findings, inventory),
@@ -159,21 +154,21 @@ mod tests {
 
     #[test]
     fn human_lists_findings_and_count() {
-        let out = render(&sample(), Format::Human);
+        let out = render(&sample(), &[], Format::Human);
         assert!(out.contains("error[wire-panic]"));
         assert!(out.contains("crates/net/src/frame.rs:42"));
         assert!(out.contains("1 finding(s)"));
-        assert_eq!(render(&[], Format::Human), "lint: no findings\n");
+        assert_eq!(render(&[], &[], Format::Human), "lint: no findings\n");
     }
 
     #[test]
     fn json_is_escaped_and_countable() {
-        let out = render(&sample(), Format::Json);
+        let out = render(&sample(), &[], Format::Json);
         assert!(out.contains("\"count\":1"));
         assert!(out.contains("\\\"slice\\\""), "{out}");
         assert!(out.ends_with("}\n"));
         assert_eq!(
-            render(&[], Format::Json),
+            render(&[], &[], Format::Json),
             "{\"findings\":[],\"count\":0,\"unsafe_ffi_inventory\":[]}\n"
         );
     }
@@ -187,22 +182,22 @@ mod tests {
             callee: "read".to_string(),
             check: "cvt-checked; ptr/len paired (buf)".to_string(),
         }];
-        let out = render_full(&[], &inv, Format::Json);
+        let out = render(&[], &inv, Format::Json);
         assert!(
             out.contains("\"unsafe_ffi_inventory\":[{\"func\":\"drain\""),
             "{out}"
         );
         assert!(out.contains("\"callee\":\"read\""));
         // Human/GitHub output is unchanged by the inventory.
-        assert_eq!(render_full(&[], &inv, Format::Human), "lint: no findings\n");
-        assert_eq!(render_full(&[], &inv, Format::Github), "");
+        assert_eq!(render(&[], &inv, Format::Human), "lint: no findings\n");
+        assert_eq!(render(&[], &inv, Format::Github), "");
     }
 
     #[test]
     fn github_annotations_escape_newlines() {
         let mut f = sample();
         f[0].detail = "two\nlines".to_string();
-        let out = render(&f, Format::Github);
+        let out = render(&f, &[], Format::Github);
         assert!(out.starts_with("::error file=crates/net/src/frame.rs,line=42"));
         assert!(out.contains("two%0Alines"));
         assert!(!out.trim_end().contains('\n'), "one annotation per line");

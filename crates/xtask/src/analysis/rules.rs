@@ -11,8 +11,10 @@
 //! only, so comments, strings, and `#[cfg(test)]` code never trip it —
 //! the precise failure mode of the old text scanner this replaces.
 
-use crate::analysis::lexer::TokKind;
 use crate::analysis::{Finding, Workspace};
+
+/// The rule id.
+pub const RULE: &str = "determinism";
 
 /// Path prefixes that must stay deterministic.
 ///
@@ -61,10 +63,7 @@ pub fn determinism(ws: &Workspace) -> Vec<Finding> {
             continue;
         }
         let lexed = &file.lexed;
-        for i in 0..lexed.len() {
-            if lexed.kind_at(i) != Some(TokKind::Ident) || file.items.in_test(i) {
-                continue;
-            }
+        for i in file.prod_idents() {
             let name = lexed.text(i);
             let hit = BANNED_IDENTS
                 .iter()
@@ -79,16 +78,15 @@ pub fn determinism(ws: &Workspace) -> Vec<Finding> {
                         .map(|(a, b, what)| (format!("`{a}::{b}`"), *what))
                 });
             if let Some((path, what)) = hit {
-                findings.push(Finding {
-                    rule: "determinism",
-                    path: file.path.clone(),
-                    line: lexed.line_of(i),
-                    snippet: lexed.line_text(i).to_string(),
-                    detail: format!(
+                findings.push(Finding::at(
+                    RULE,
+                    file,
+                    i,
+                    format!(
                         "{path} pulls {what} into a sans-IO protocol crate; inject time/randomness \
                          through the event interface so schedules stay replayable"
                     ),
-                });
+                ));
             }
         }
     }
@@ -98,10 +96,9 @@ pub fn determinism(ws: &Workspace) -> Vec<Finding> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::Workspace;
 
     fn findings(path: &str, src: &str) -> Vec<Finding> {
-        let ws = Workspace::from_sources(vec![(path.to_string(), src.to_string())]);
+        let ws = Workspace::from_sources(&[(path, src)]);
         determinism(&ws)
     }
 

@@ -36,6 +36,9 @@ use crate::analysis::lexer::TokKind;
 use crate::analysis::parser::{matching_close, statement_end, statement_start};
 use crate::analysis::{Finding, SourceFile, Workspace};
 
+/// The rule id.
+pub const RULE: &str = "unsafe-ffi";
+
 /// The one module allowed to contain `unsafe`.
 pub const AUDITED_MODULE: &str = "crates/net/src/sys.rs";
 
@@ -57,12 +60,7 @@ pub struct InventoryEntry {
     pub check: String,
 }
 
-/// Findings only — the `analyze_raw` entry point.
-pub fn check(ws: &Workspace) -> Vec<Finding> {
-    audit(ws).0
-}
-
-/// Inventory only — emitted under `--json`.
+/// Inventory only.
 pub fn inventory(ws: &Workspace) -> Vec<InventoryEntry> {
     audit(ws).1
 }
@@ -73,42 +71,43 @@ pub fn audit(ws: &Workspace) -> (Vec<Finding>, Vec<InventoryEntry>) {
     let mut findings = Vec::new();
     let mut entries = Vec::new();
     for file in &ws.files {
-        for i in 0..file.lexed.len() {
-            if !file.lexed.is_ident(i, "unsafe") || file.items.in_test(i) {
+        // The file's `extern "C"` names, scanned at its first block.
+        let mut ffi = None;
+        for i in file.prod_idents() {
+            if file.lexed.text(i) != "unsafe" {
                 continue;
             }
             let next = file.lexed.text_at(i + 1);
             if matches!(next, "fn" | "impl" | "trait") {
-                findings.push(Finding {
-                    rule: "unsafe-ffi",
-                    path: file.path.clone(),
-                    line: file.lexed.line_of(i),
-                    snippet: file.lexed.line_text(i).trim().to_string(),
-                    detail: format!(
+                findings.push(Finding::at(
+                    RULE,
+                    file,
+                    i,
+                    format!(
                         "`unsafe {next}` is outside the audit model — the workspace \
                          confines unsafety to single-FFI-call blocks in {AUDITED_MODULE}"
                     ),
-                });
+                ));
                 continue;
             }
             if next != "{" {
                 continue; // `unsafe` in a type position etc.
             }
             if file.path != AUDITED_MODULE {
-                findings.push(Finding {
-                    rule: "unsafe-ffi",
-                    path: file.path.clone(),
-                    line: file.lexed.line_of(i),
-                    snippet: file.lexed.line_text(i).trim().to_string(),
-                    detail: format!(
+                findings.push(Finding::at(
+                    RULE,
+                    file,
+                    i,
+                    format!(
                         "unsafe block outside the audited FFI module ({AUDITED_MODULE}) — \
                          move the raw operation behind a safe wrapper there so it lands \
                          in the audited inventory"
                     ),
-                });
+                ));
                 continue;
             }
-            let (block_findings, entry) = audit_block(file, i);
+            let ffi = ffi.get_or_insert_with(|| extern_fns(file));
+            let (block_findings, entry) = audit_block(file, i, ffi);
             findings.extend(block_findings);
             entries.push(entry);
         }
@@ -116,22 +115,18 @@ pub fn audit(ws: &Workspace) -> (Vec<Finding>, Vec<InventoryEntry>) {
     (findings, entries)
 }
 
-/// Audits one `unsafe { … }` block in the audited module.
-fn audit_block(file: &SourceFile, unsafe_tok: usize) -> (Vec<Finding>, InventoryEntry) {
+/// Audits one `unsafe { … }` block in the audited module, whose
+/// `extern "C"` declarations are `ffi`.
+fn audit_block(
+    file: &SourceFile,
+    unsafe_tok: usize,
+    ffi: &[String],
+) -> (Vec<Finding>, InventoryEntry) {
     let lexed = &file.lexed;
     let open = unsafe_tok + 1;
     let close = matching_close(lexed, open);
-    let ffi = extern_fns(file);
     let mut findings = Vec::new();
-    let mut push = |detail: String| {
-        findings.push(Finding {
-            rule: "unsafe-ffi",
-            path: file.path.clone(),
-            line: lexed.line_of(unsafe_tok),
-            snippet: lexed.line_text(unsafe_tok).trim().to_string(),
-            detail,
-        });
-    };
+    let mut push = |detail: String| findings.push(Finding::at(RULE, file, unsafe_tok, detail));
 
     // Top-level call expressions inside the block (args skipped).
     let mut calls: Vec<usize> = Vec::new();
@@ -304,16 +299,6 @@ fn enclosing_fn(file: &SourceFile, tok: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::Workspace;
-
-    fn ws(files: &[(&str, &str)]) -> Workspace {
-        Workspace::from_sources(
-            files
-                .iter()
-                .map(|(p, s)| (p.to_string(), s.to_string()))
-                .collect(),
-        )
-    }
 
     const EXTERN: &str = "extern \"C\" { fn read(fd: i32, buf: *mut u8, n: usize) -> isize; \
                           fn close(fd: i32) -> i32; }";
@@ -324,7 +309,7 @@ mod tests {
             "{EXTERN} fn drain(fd: i32, buf: &mut [u8]) {{ \
                let _ = cvt(unsafe {{ read(fd, buf.as_mut_ptr(), buf.len()) }}); }}"
         );
-        let w = ws(&[("crates/net/src/sys.rs", &src)]);
+        let w = Workspace::from_sources(&[("crates/net/src/sys.rs", &src)]);
         let (findings, inv) = audit(&w);
         assert!(findings.is_empty(), "{findings:?}");
         assert_eq!(inv.len(), 1);
@@ -339,7 +324,7 @@ mod tests {
             "{EXTERN} fn drain(fd: i32, a: &mut [u8], b: &[u8]) {{ \
                let _ = cvt(unsafe {{ read(fd, a.as_mut_ptr(), b.len()) }}); }}"
         );
-        let w = ws(&[("crates/net/src/sys.rs", &src)]);
+        let w = Workspace::from_sources(&[("crates/net/src/sys.rs", &src)]);
         let (findings, inv) = audit(&w);
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert!(findings[0].detail.contains("no matching `a.len()`"));
@@ -349,7 +334,7 @@ mod tests {
     #[test]
     fn unchecked_result_is_flagged() {
         let src = format!("{EXTERN} fn shut(fd: i32) {{ unsafe {{ close(fd) }}; }}");
-        let w = ws(&[("crates/net/src/sys.rs", &src)]);
+        let w = Workspace::from_sources(&[("crates/net/src/sys.rs", &src)]);
         let (findings, _) = audit(&w);
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert!(findings[0].detail.contains("neither `cvt`-checked"));
@@ -358,7 +343,7 @@ mod tests {
     #[test]
     fn discarded_result_is_accepted() {
         let src = format!("{EXTERN} fn shut(fd: i32) {{ let _ = unsafe {{ close(fd) }}; }}");
-        let w = ws(&[("crates/net/src/sys.rs", &src)]);
+        let w = Workspace::from_sources(&[("crates/net/src/sys.rs", &src)]);
         let (findings, inv) = audit(&w);
         assert!(findings.is_empty(), "{findings:?}");
         assert_eq!(inv[0].check, "result discarded; no pointer args");
@@ -368,7 +353,7 @@ mod tests {
     fn multiple_calls_in_one_block_are_flagged() {
         let src =
             format!("{EXTERN} fn both(fd: i32) {{ let _ = unsafe {{ close(fd); close(fd) }}; }}");
-        let w = ws(&[("crates/net/src/sys.rs", &src)]);
+        let w = Workspace::from_sources(&[("crates/net/src/sys.rs", &src)]);
         let (findings, _) = audit(&w);
         assert!(findings.iter().any(|f| f.detail.contains("wraps 2 calls")));
     }
@@ -379,7 +364,7 @@ mod tests {
             "{EXTERN} fn adopt(fd: i32) -> TcpStream {{ \
                unsafe {{ TcpStream::from_raw_fd(fd) }} }}"
         );
-        let w = ws(&[("crates/net/src/sys.rs", &src)]);
+        let w = Workspace::from_sources(&[("crates/net/src/sys.rs", &src)]);
         let (findings, inv) = audit(&w);
         assert!(findings
             .iter()
@@ -389,7 +374,7 @@ mod tests {
 
     #[test]
     fn unsafe_outside_the_module_is_contained() {
-        let w = ws(&[(
+        let w = Workspace::from_sources(&[(
             "crates/core/src/stack.rs",
             "fn sneak(p: *const u8) -> u8 { unsafe { *p } }",
         )]);
@@ -403,7 +388,7 @@ mod tests {
 
     #[test]
     fn unsafe_fn_is_flagged_everywhere() {
-        let w = ws(&[("crates/net/src/sys.rs", "unsafe fn raw() {}")]);
+        let w = Workspace::from_sources(&[("crates/net/src/sys.rs", "unsafe fn raw() {}")]);
         let (findings, _) = audit(&w);
         assert_eq!(findings.len(), 1);
         assert!(findings[0].detail.contains("`unsafe fn`"));
@@ -411,7 +396,7 @@ mod tests {
 
     #[test]
     fn test_code_is_exempt() {
-        let w = ws(&[(
+        let w = Workspace::from_sources(&[(
             "crates/core/src/stack.rs",
             "#[cfg(test)] mod tests { fn t(p: *const u8) -> u8 { unsafe { *p } } }",
         )]);

@@ -29,7 +29,9 @@ use crate::analysis::callgraph::{CallGraph, KEYWORDS};
 use crate::analysis::lexer::TokKind;
 use crate::analysis::parser;
 use crate::analysis::{Finding, SourceFile, Workspace};
-use std::collections::HashMap;
+
+/// The rule id.
+pub const RULE: &str = "wire-panic";
 
 /// Files whose decode-shaped functions are audit roots.
 pub const ENTRY_FILES: &[&str] = &[
@@ -63,49 +65,25 @@ pub fn is_entry_name(name: &str) -> bool {
         || matches!(name, "take" | "from_wire" | "next_frame" | "try_pop")
 }
 
+/// Global ids of the decode entry points: the decode-shaped functions
+/// of the [`ENTRY_FILES`].
+pub fn entry_points(ws: &Workspace, graph: &CallGraph) -> Vec<usize> {
+    (0..graph.fns.len())
+        .filter(|&id| {
+            let (file, f) = graph.func(ws, id);
+            ENTRY_FILES.contains(&file.path.as_str()) && is_entry_name(&f.name)
+        })
+        .collect()
+}
+
 /// Runs the audit: find entry points, walk the call graph, scan every
-/// reachable body.
+/// reachable body. Each finding cites the witness path that first
+/// reached its function.
 pub fn audit(ws: &Workspace, graph: &CallGraph) -> Vec<Finding> {
-    let mut roots = Vec::new();
-    for (id, fr) in graph.fns.iter().enumerate() {
-        let file = &ws.files[fr.file];
-        if !ENTRY_FILES.contains(&file.path.as_str()) {
-            continue;
-        }
-        if is_entry_name(&file.items.funcs[fr.func].name) {
-            roots.push(id);
-        }
-    }
-    // BFS that remembers, for each reached function, which entry point
-    // first reached it and through which direct caller — the finding
-    // text cites that witness path.
-    let mut how: HashMap<usize, (usize, Option<usize>)> = HashMap::new();
-    let mut queue: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
-    for &r in &roots {
-        how.entry(r).or_insert((r, None));
-        queue.push_back(r);
-    }
-    while let Some(id) = queue.pop_front() {
-        let (root, _) = how[&id];
-        for c in &graph.calls[id] {
-            how.entry(c.callee).or_insert_with(|| {
-                queue.push_back(c.callee);
-                (root, Some(id))
-            });
-        }
-    }
-    let fn_name = |id: usize| -> &str {
-        let fr = graph.fns[id];
-        &ws.files[fr.file].items.funcs[fr.func].name
-    };
-    let mut ids: Vec<usize> = how.keys().copied().collect();
-    ids.sort_unstable();
+    let fn_name = |id: usize| -> &str { &graph.func(ws, id).1.name };
     let mut findings = Vec::new();
-    for id in ids {
-        let (root, parent) = how[&id];
-        let fr = graph.fns[id];
-        let file = &ws.files[fr.file];
-        let f = &file.items.funcs[fr.func];
+    for (id, (root, parent)) in graph.cone(entry_points(ws, graph)) {
+        let (file, f) = graph.func(ws, id);
         let why = if root == id {
             format!("in decode entry point `{}` fed raw wire bytes", f.name)
         } else {
@@ -136,13 +114,7 @@ fn is_valueish(file: &SourceFile, i: usize) -> bool {
 fn scan_body(file: &SourceFile, open: usize, close: usize, why: &str, out: &mut Vec<Finding>) {
     let lexed = &file.lexed;
     let push = |out: &mut Vec<Finding>, tok: usize, what: String| {
-        out.push(Finding {
-            rule: "wire-panic",
-            path: file.path.clone(),
-            line: lexed.line_of(tok),
-            snippet: lexed.line_text(tok).to_string(),
-            detail: format!("{what} {why}"),
-        });
+        out.push(Finding::at(RULE, file, tok, format!("{what} {why}")));
     };
     let mut i = open;
     while i <= close.min(lexed.len().saturating_sub(1)) {
@@ -203,16 +175,9 @@ fn scan_body(file: &SourceFile, open: usize, close: usize, why: &str, out: &mut 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::callgraph::CallGraph;
-    use crate::analysis::Workspace;
 
     fn run(files: &[(&str, &str)]) -> Vec<Finding> {
-        let ws = Workspace::from_sources(
-            files
-                .iter()
-                .map(|(p, s)| (p.to_string(), s.to_string()))
-                .collect(),
-        );
+        let ws = Workspace::from_sources(files);
         let graph = CallGraph::build(&ws);
         audit(&ws, &graph)
     }

@@ -31,7 +31,8 @@ use crate::analysis::parser::matching_close;
 use crate::analysis::{Finding, SourceFile, Workspace};
 use std::collections::BTreeMap;
 
-const RULE: &str = "wire-symmetry";
+/// The rule id.
+pub const RULE: &str = "wire-symmetry";
 
 /// Identifiers that are buffer/cursor plumbing, never field names.
 const NOISE: &[&str] = &["out", "input", "got", "len", "n", "buf", "bytes", "_"];
@@ -64,11 +65,10 @@ fn check_file(file: &SourceFile, findings: &mut Vec<Finding>) {
     let lexed = &file.lexed;
     let mut tags: BTreeMap<String, Tag> = BTreeMap::new();
     // 1. Tag const definitions: `const TAG_X: u8 = N;`
-    for i in 0..lexed.len() {
-        if !lexed.is_ident(i, "const")
+    for i in file.prod_idents() {
+        if lexed.text(i) != "const"
             || lexed.kind_at(i + 1) != Some(TokKind::Ident)
             || !lexed.text(i + 1).starts_with("TAG_")
-            || file.items.in_test(i)
         {
             continue;
         }
@@ -93,10 +93,7 @@ fn check_file(file: &SourceFile, findings: &mut Vec<Finding>) {
         return;
     }
     // 2. Encode and decode sites.
-    for i in 0..lexed.len() {
-        if lexed.kind_at(i) != Some(TokKind::Ident) || file.items.in_test(i) {
-            continue;
-        }
+    for i in file.prod_idents() {
         let t = lexed.text(i);
         if !t.starts_with("TAG_") || !tags.contains_key(t) {
             continue;
@@ -122,68 +119,80 @@ fn check_file(file: &SourceFile, findings: &mut Vec<Finding>) {
     for tag in tags.values() {
         families.entry(family_of(&tag.name)).or_default().push(tag);
     }
+    let mut push = |line: usize, snippet: String, detail: String| {
+        findings.push(Finding {
+            rule: RULE,
+            path: file.path.clone(),
+            line,
+            snippet,
+            detail,
+        })
+    };
     for (family, members) in &families {
         // Duplicate values within a family.
         let mut seen: BTreeMap<u64, &str> = BTreeMap::new();
         for tag in members {
             let Some(v) = tag.value else { continue };
             if let Some(first) = seen.get(&v) {
-                findings.push(Finding {
-                    rule: RULE,
-                    path: file.path.clone(),
-                    line: tag.line,
-                    snippet: format!("const {}: u8 = {v};", tag.name),
-                    detail: format!(
+                push(
+                    tag.line,
+                    format!("const {}: u8 = {v};", tag.name),
+                    format!(
                         "`{}` reuses wire value {v} already taken by `{first}` in family \
                          `{family}` — two frame kinds alias on the wire and the decoder can \
                          only ever see one of them",
                         tag.name
                     ),
-                });
+                );
             } else {
                 seen.insert(v, &tag.name);
             }
         }
         for tag in members {
+            let name = &tag.name;
             match (&tag.encode, &tag.decode) {
-                (Some((_, _, line)), None) => findings.push(Finding {
-                    rule: RULE,
-                    path: file.path.clone(),
-                    line: *line,
-                    snippet: format!("out.push({})", tag.name),
-                    detail: format!(
-                        "`{}` is encoded but never decoded in this codec — peers receive a \
-                         frame they can only reject as InvalidTag",
-                        tag.name
+                (Some((_, _, line)), None) => push(
+                    *line,
+                    format!("out.push({name})"),
+                    format!(
+                        "`{name}` is encoded but never decoded in this codec — peers receive a \
+                         frame they can only reject as InvalidTag"
                     ),
-                }),
-                (None, Some((_, _, line))) => findings.push(Finding {
-                    rule: RULE,
-                    path: file.path.clone(),
-                    line: *line,
-                    snippet: format!("{} => …", tag.name),
-                    detail: format!(
-                        "`{}` is decoded but never encoded in this codec — dead protocol \
+                ),
+                (None, Some((_, _, line))) => push(
+                    *line,
+                    format!("{name} => …"),
+                    format!(
+                        "`{name}` is decoded but never encoded in this codec — dead protocol \
                          surface no test or fuzzer can reach through the encoder; remove the \
-                         arm or add the missing encode",
-                        tag.name
+                         arm or add the missing encode"
                     ),
-                }),
+                ),
                 (Some((Some(ev), e_ids, line)), Some((Some(dv), d_ids, _))) => {
+                    // Shared fields, in each side's order.
+                    let e_common: Vec<&str> = common(e_ids, d_ids);
+                    let d_common: Vec<&str> = common(d_ids, e_ids);
                     if ev != dv {
-                        findings.push(Finding {
-                            rule: RULE,
-                            path: file.path.clone(),
-                            line: *line,
-                            snippet: format!("{} ↦ {ev} / {dv}", tag.name),
-                            detail: format!(
-                                "`{}` encodes variant `{ev}` but decodes variant `{dv}` — the \
-                                 round trip changes the message's meaning",
-                                tag.name
+                        push(
+                            *line,
+                            format!("{name} ↦ {ev} / {dv}"),
+                            format!(
+                                "`{name}` encodes variant `{ev}` but decodes variant `{dv}` — \
+                                 the round trip changes the message's meaning"
                             ),
-                        });
-                    } else {
-                        check_field_order(&tag.name, ev, e_ids, d_ids, file, *line, findings);
+                        );
+                    } else if e_common != d_common {
+                        push(
+                            *line,
+                            format!("{name} ({ev})"),
+                            format!(
+                                "encode writes fields as [{}] but decode reads them as [{}] — \
+                                 the shared fields must be written and read in the same wire \
+                                 order or every `{ev}` frame decodes corrupted",
+                                e_common.join(", "),
+                                d_common.join(", "),
+                            ),
+                        );
                     }
                 }
                 _ => {} // unused tag, or variant unresolved on a side
@@ -192,40 +201,12 @@ fn check_file(file: &SourceFile, findings: &mut Vec<Finding>) {
     }
 }
 
-fn check_field_order(
-    tag: &str,
-    variant: &str,
-    e_ids: &[String],
-    d_ids: &[String],
-    file: &SourceFile,
-    line: usize,
-    findings: &mut Vec<Finding>,
-) {
-    let e_common: Vec<&String> = e_ids.iter().filter(|x| d_ids.contains(x)).collect();
-    let d_common: Vec<&String> = d_ids.iter().filter(|x| e_ids.contains(x)).collect();
-    if e_common != d_common {
-        findings.push(Finding {
-            rule: RULE,
-            path: file.path.clone(),
-            line,
-            snippet: format!("{tag} ({variant})"),
-            detail: format!(
-                "encode writes fields as [{}] but decode reads them as [{}] — the shared \
-                 fields must be written and read in the same wire order or every `{variant}` \
-                 frame decodes corrupted",
-                e_common
-                    .iter()
-                    .map(|s| s.as_str())
-                    .collect::<Vec<_>>()
-                    .join(", "),
-                d_common
-                    .iter()
-                    .map(|s| s.as_str())
-                    .collect::<Vec<_>>()
-                    .join(", "),
-            ),
-        });
-    }
+/// The entries of `ids` that `other` also has, in `ids`' order.
+fn common<'a>(ids: &'a [String], other: &[String]) -> Vec<&'a str> {
+    ids.iter()
+        .filter(|x| other.contains(x))
+        .map(String::as_str)
+        .collect()
 }
 
 /// From the `TAG_X` token inside `out.push(TAG_X)`, finds the enclosing
@@ -340,10 +321,9 @@ fn field_idents(lexed: &Lexed, from: usize, until: usize) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::Workspace;
 
     fn run(src: &str) -> Vec<Finding> {
-        let ws = Workspace::from_sources(vec![("crates/core/src/wire.rs".into(), src.into())]);
+        let ws = Workspace::from_sources(&[("crates/core/src/wire.rs", src)]);
         check(&ws)
     }
 

@@ -14,31 +14,12 @@
 //! - `lint --list-rules` — prints one `id<TAB>summary` line per rule
 //!   and exits; CI consumes this instead of a hand-maintained list.
 
-use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use xtask::analysis::{self, allow::AllowList, report};
 
-fn workspace_root() -> PathBuf {
-    // crates/xtask -> crates -> workspace root.
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(|p| p.parent())
-        .expect("xtask lives two levels under the workspace root")
-        .to_path_buf()
-}
-
-fn load_baseline(root: &Path) -> Result<AllowList, String> {
-    let path = root.join("lint-allow.toml");
-    if !path.is_file() {
-        return Ok(AllowList::empty());
-    }
-    let text = std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-    AllowList::parse("lint-allow.toml", &text).map_err(|e| format!("lint-allow.toml:{e}"))
-}
-
 fn run_lint(format: report::Format, timings: bool) -> ExitCode {
-    let root = workspace_root();
-    let baseline = match load_baseline(&root) {
+    let root = analysis::workspace_root();
+    let baseline = match AllowList::load(&root) {
         Ok(b) => b,
         Err(e) => {
             eprintln!("xtask lint: {e}");
@@ -52,18 +33,15 @@ fn run_lint(format: report::Format, timings: bool) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let (raw, pass_timings) = analysis::analyze_raw_timed(&ws);
-    let mut findings = baseline.apply(raw);
-    analysis::sort_findings(&mut findings);
+    let run = analysis::run(&ws, &baseline);
     if timings {
         // Stderr, so `--json`/`--github` stdout stays machine-clean.
-        for t in &pass_timings {
+        for t in &run.timings {
             eprintln!("timing pass={} ms={}", t.name, t.elapsed.as_millis());
         }
     }
-    let inventory = analysis::unsafeffi::inventory(&ws);
-    print!("{}", report::render_full(&findings, &inventory, format));
-    if findings.is_empty() {
+    print!("{}", report::render(&run.findings, &run.inventory, format));
+    if run.findings.is_empty() {
         if format == report::Format::Human {
             let rules: Vec<&str> = analysis::RULES.iter().map(|r| r.id).collect();
             println!(
@@ -71,7 +49,7 @@ fn run_lint(format: report::Format, timings: bool) -> ExitCode {
                 rules.join(", "),
                 ws.files.len(),
                 baseline.entries.len(),
-                inventory.len()
+                run.inventory.len()
             );
         }
         ExitCode::SUCCESS

@@ -2,34 +2,65 @@
 //! clean under the committed baseline, and each bad fixture under
 //! `tests/fixtures/` must fail its rule.
 
-use std::path::PathBuf;
-use xtask::analysis::{self, allow::AllowList, callgraph::CallGraph, locks, report, Workspace};
+use xtask::analysis::{
+    self, allow::AllowList, blocking, callgraph::CallGraph, fields::FieldTable, growth, hotpath,
+    locks, report, unsafeffi, wirepanic, Workspace,
+};
 
-fn repo_root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(|p| p.parent())
-        .expect("xtask lives two levels under the workspace root")
-        .to_path_buf()
-}
+/// The fixtures under `tests/fixtures/`, each at the path its rule gates.
+const LOCK_CYCLE: &[(&str, &str)] = &[
+    (
+        "crates/net/src/chan.rs",
+        include_str!("fixtures/lock_cycle_net.rs"),
+    ),
+    (
+        "crates/simnet/src/chan.rs",
+        include_str!("fixtures/lock_cycle_sim.rs"),
+    ),
+];
+const WIRE_PANIC: &[(&str, &str)] = &[(
+    "crates/net/src/frame.rs",
+    include_str!("fixtures/wire_panic.rs"),
+)];
+const LAYERING_BYPASS: &[(&str, &str)] = &[(
+    "crates/replica/src/reporter.rs",
+    include_str!("fixtures/layering_bypass.rs"),
+)];
+const DETERMINISM: &[(&str, &str)] = &[(
+    "crates/clocks/src/wall.rs",
+    include_str!("fixtures/determinism.rs"),
+)];
+const HOTPATH_ALLOC: &[(&str, &str)] = &[(
+    "crates/net/src/reactor.rs",
+    include_str!("fixtures/hotpath_alloc.rs"),
+)];
+const REACTOR_BLOCKING: &[(&str, &str)] = &[(
+    "crates/net/src/reactor.rs",
+    include_str!("fixtures/reactor_blocking.rs"),
+)];
+const UNSAFE_FFI: &[(&str, &str)] = &[(
+    "crates/net/src/sys.rs",
+    include_str!("fixtures/unsafe_ffi.rs"),
+)];
+const GROWTH_UNBOUNDED: &[(&str, &str)] = &[(
+    "crates/core/src/delivery/pcbcast/engine.rs",
+    include_str!("fixtures/growth_unbounded.rs"),
+)];
+const ATOMIC_ORDERING: &[(&str, &str)] = &[(
+    "crates/net/src/conn.rs",
+    include_str!("fixtures/atomic_ordering.rs"),
+)];
+const WIRE_ASYMMETRY: &[(&str, &str)] = &[(
+    "crates/core/src/wire.rs",
+    include_str!("fixtures/wire_asymmetry.rs"),
+)];
 
 fn real_workspace() -> Workspace {
-    Workspace::load(&repo_root()).expect("load workspace sources")
+    Workspace::load(&analysis::workspace_root()).expect("load workspace sources")
 }
 
 fn committed_baseline() -> AllowList {
-    let text = std::fs::read_to_string(repo_root().join("lint-allow.toml"))
-        .expect("committed lint-allow.toml");
-    AllowList::parse("lint-allow.toml", &text).expect("baseline parses")
-}
-
-fn fixture_ws(files: &[(&str, &str)]) -> Workspace {
-    Workspace::from_sources(
-        files
-            .iter()
-            .map(|(p, s)| (p.to_string(), s.to_string()))
-            .collect(),
-    )
+    AllowList::load(&analysis::workspace_root()).expect("committed lint-allow.toml parses")
 }
 
 #[test]
@@ -94,16 +125,7 @@ fn real_lock_graph_is_nontrivial_and_acyclic() {
 
 #[test]
 fn lock_cycle_fixture_fails_the_gate() {
-    let ws = fixture_ws(&[
-        (
-            "crates/net/src/chan.rs",
-            include_str!("fixtures/lock_cycle_net.rs"),
-        ),
-        (
-            "crates/simnet/src/chan.rs",
-            include_str!("fixtures/lock_cycle_sim.rs"),
-        ),
-    ]);
+    let ws = Workspace::from_sources(LOCK_CYCLE);
     let findings = analysis::analyze_raw(&ws);
     let cycles: Vec<_> = findings.iter().filter(|f| f.rule == "lock-order").collect();
     assert_eq!(cycles.len(), 1, "{findings:?}");
@@ -116,16 +138,7 @@ fn lock_cycle_fixture_fails_the_gate() {
 
 #[test]
 fn allowlisted_lock_cycle_passes_without_stale_entries() {
-    let ws = fixture_ws(&[
-        (
-            "crates/net/src/chan.rs",
-            include_str!("fixtures/lock_cycle_net.rs"),
-        ),
-        (
-            "crates/simnet/src/chan.rs",
-            include_str!("fixtures/lock_cycle_sim.rs"),
-        ),
-    ]);
+    let ws = Workspace::from_sources(LOCK_CYCLE);
     let allow = AllowList::parse(
         "lock_cycle_allow.toml",
         include_str!("fixtures/lock_cycle_allow.toml"),
@@ -137,10 +150,7 @@ fn allowlisted_lock_cycle_passes_without_stale_entries() {
 
 #[test]
 fn wire_panic_fixture_fails_the_gate() {
-    let ws = fixture_ws(&[(
-        "crates/net/src/frame.rs",
-        include_str!("fixtures/wire_panic.rs"),
-    )]);
+    let ws = Workspace::from_sources(WIRE_PANIC);
     let findings = analysis::analyze_raw(&ws);
     let rules: Vec<_> = findings.iter().map(|f| f.rule).collect();
     assert_eq!(rules, ["wire-panic", "wire-panic"], "{findings:?}");
@@ -150,10 +160,7 @@ fn wire_panic_fixture_fails_the_gate() {
 
 #[test]
 fn layering_fixture_fails_the_gate() {
-    let ws = fixture_ws(&[(
-        "crates/replica/src/reporter.rs",
-        include_str!("fixtures/layering_bypass.rs"),
-    )]);
+    let ws = Workspace::from_sources(LAYERING_BYPASS);
     let findings = analysis::analyze_raw(&ws);
     let rules: Vec<_> = findings.iter().map(|f| f.rule).collect();
     assert_eq!(rules, ["layering", "layering"], "{findings:?}");
@@ -165,10 +172,7 @@ fn layering_fixture_fails_the_gate() {
 
 #[test]
 fn determinism_fixture_fails_the_gate() {
-    let ws = fixture_ws(&[(
-        "crates/clocks/src/wall.rs",
-        include_str!("fixtures/determinism.rs"),
-    )]);
+    let ws = Workspace::from_sources(DETERMINISM);
     let findings = analysis::analyze_raw(&ws);
     assert!(!findings.is_empty());
     assert!(
@@ -180,10 +184,7 @@ fn determinism_fixture_fails_the_gate() {
 
 #[test]
 fn hotpath_alloc_fixture_fails_the_gate() {
-    let ws = fixture_ws(&[(
-        "crates/net/src/reactor.rs",
-        include_str!("fixtures/hotpath_alloc.rs"),
-    )]);
+    let ws = Workspace::from_sources(HOTPATH_ALLOC);
     let findings = analysis::analyze_raw(&ws);
     let allocs: Vec<_> = findings
         .iter()
@@ -209,10 +210,7 @@ fn hotpath_alloc_fixture_fails_the_gate() {
 
 #[test]
 fn reactor_blocking_fixture_fails_the_gate() {
-    let ws = fixture_ws(&[(
-        "crates/net/src/reactor.rs",
-        include_str!("fixtures/reactor_blocking.rs"),
-    )]);
+    let ws = Workspace::from_sources(REACTOR_BLOCKING);
     let findings = analysis::analyze_raw(&ws);
     let blocking: Vec<_> = findings
         .iter()
@@ -234,11 +232,8 @@ fn reactor_blocking_fixture_fails_the_gate() {
 
 #[test]
 fn unsafe_ffi_fixture_fails_the_gate() {
-    let ws = fixture_ws(&[
-        (
-            "crates/net/src/sys.rs",
-            include_str!("fixtures/unsafe_ffi.rs"),
-        ),
+    let ws = Workspace::from_sources(&[
+        UNSAFE_FFI[0],
         (
             "crates/core/src/stack.rs",
             "fn sneak(p: *const u8) -> u8 { unsafe { *p } }",
@@ -274,7 +269,7 @@ fn unsafe_ffi_fixture_fails_the_gate() {
 fn unsafe_ffi_inventory_covers_every_sys_unsafe_block() {
     let ws = real_workspace();
     let inv = analysis::unsafeffi::inventory(&ws);
-    let sys = std::fs::read_to_string(repo_root().join("crates/net/src/sys.rs"))
+    let sys = std::fs::read_to_string(analysis::workspace_root().join("crates/net/src/sys.rs"))
         .expect("read crates/net/src/sys.rs");
     let raw_count = sys.matches("unsafe {").count();
     assert!(raw_count > 0, "sys.rs lost its unsafe blocks?");
@@ -288,10 +283,7 @@ fn unsafe_ffi_inventory_covers_every_sys_unsafe_block() {
 
 #[test]
 fn bounded_growth_fixture_fails_the_gate() {
-    let ws = fixture_ws(&[(
-        "crates/core/src/delivery/pcbcast/engine.rs",
-        include_str!("fixtures/growth_unbounded.rs"),
-    )]);
+    let ws = Workspace::from_sources(GROWTH_UNBOUNDED);
     let findings = analysis::analyze_raw(&ws);
     let growth: Vec<_> = findings
         .iter()
@@ -313,10 +305,7 @@ fn bounded_growth_fixture_fails_the_gate() {
 
 #[test]
 fn atomic_ordering_fixture_fails_the_gate() {
-    let ws = fixture_ws(&[(
-        "crates/net/src/conn.rs",
-        include_str!("fixtures/atomic_ordering.rs"),
-    )]);
+    let ws = Workspace::from_sources(ATOMIC_ORDERING);
     let findings = analysis::analyze_raw(&ws);
     let atomics: Vec<_> = findings
         .iter()
@@ -341,10 +330,7 @@ fn atomic_ordering_fixture_fails_the_gate() {
 
 #[test]
 fn wire_symmetry_fixture_fails_the_gate() {
-    let ws = fixture_ws(&[(
-        "crates/core/src/wire.rs",
-        include_str!("fixtures/wire_asymmetry.rs"),
-    )]);
+    let ws = Workspace::from_sources(WIRE_ASYMMETRY);
     let findings = analysis::analyze_raw(&ws);
     let sym: Vec<_> = findings
         .iter()
@@ -392,6 +378,71 @@ fn rule_inventory_matches_the_rules_that_can_fire() {
     }
     assert_eq!(ids.len(), 11, "update this test when adding rules");
     assert!(analysis::RULES.iter().all(|r| !r.summary.is_empty()));
+    // Run every fixture, at the path the tests above give it: whatever
+    // a pass emits must be listed, and every listed rule but the
+    // baseline's own must fire on some fixture.
+    let fixtures = [
+        LOCK_CYCLE,
+        WIRE_PANIC,
+        LAYERING_BYPASS,
+        DETERMINISM,
+        HOTPATH_ALLOC,
+        REACTOR_BLOCKING,
+        UNSAFE_FFI,
+        GROWTH_UNBOUNDED,
+        ATOMIC_ORDERING,
+        WIRE_ASYMMETRY,
+    ];
+    let mut fired = std::collections::BTreeSet::new();
+    for files in fixtures {
+        for f in analysis::analyze_raw(&Workspace::from_sources(files)) {
+            assert!(ids.contains(&f.rule), "unlisted rule fired: {f}");
+            fired.insert(f.rule);
+        }
+    }
+    for id in ids {
+        assert!(
+            id == "stale-allow" || fired.contains(id),
+            "no fixture fires {id}"
+        );
+    }
+}
+
+#[test]
+fn declared_paths_exist_in_the_real_workspace() {
+    // The passes skip a declared path that is missing from the
+    // workspace, so fixture workspaces run; on the real workspace that
+    // skip would switch a gate off without a finding, so a renamed or
+    // moved file must fail here instead.
+    let ws = real_workspace();
+    let graph = CallGraph::build(&ws);
+    let fields = FieldTable::build(&ws);
+    let roots = hotpath::HOT_ROOTS.iter().chain(blocking::SHARD_ROOTS);
+    for root in roots.chain(growth::GC_ROOTS) {
+        let ids = root.resolve(&ws, &graph);
+        assert!(!ids.is_empty(), "root file or function missing: {root:?}");
+    }
+    for decl in growth::STATE_STRUCTS {
+        let fi = ws.files.iter().position(|f| f.path == decl.path);
+        let found = fi.and_then(|fi| fields.struct_in(fi, decl.name));
+        assert!(
+            found.is_some(),
+            "state struct file or struct missing: {decl:?}"
+        );
+    }
+    let entries = wirepanic::entry_points(&ws, &graph);
+    for path in wirepanic::ENTRY_FILES {
+        let in_file = |&id: &usize| graph.func(&ws, id).0.path == *path;
+        assert!(
+            entries.iter().any(in_file),
+            "no decode entry point in {path}"
+        );
+    }
+    let sys = unsafeffi::AUDITED_MODULE;
+    assert!(
+        ws.file(sys).is_some(),
+        "audited unsafe module missing: {sys}"
+    );
 }
 
 #[test]
@@ -409,12 +460,9 @@ fn findings_are_deterministically_ordered() {
 
 #[test]
 fn json_output_round_trips_the_fixture_findings() {
-    let ws = fixture_ws(&[(
-        "crates/net/src/frame.rs",
-        include_str!("fixtures/wire_panic.rs"),
-    )]);
+    let ws = Workspace::from_sources(WIRE_PANIC);
     let findings = analysis::analyze_raw(&ws);
-    let json = report::render(&findings, report::Format::Json);
+    let json = report::render(&findings, &[], report::Format::Json);
     assert!(json.starts_with("{\"findings\":["));
     assert!(json.trim_end().ends_with(&format!(
         "\"count\":{},\"unsafe_ffi_inventory\":[]}}",
@@ -423,7 +471,7 @@ fn json_output_round_trips_the_fixture_findings() {
     assert!(json.contains("\"rule\":\"wire-panic\""));
     assert!(json.contains("\"path\":\"crates/net/src/frame.rs\""));
     // The GitHub renderer emits one annotation per finding.
-    let gh = report::render(&findings, report::Format::Github);
+    let gh = report::render(&findings, &[], report::Format::Github);
     assert_eq!(gh.lines().count(), findings.len());
     assert!(gh.lines().all(|l| l.starts_with("::error file=")));
 }
